@@ -1,17 +1,23 @@
 // Durability bench for the crash-safe profile store (docs/durability.md):
-// what does journal-before-apply + fsync-on-commit cost, what does group
-// commit buy back, and how fast is recovery as the journal grows?
+// what does journal-before-apply + fsync-on-commit cost, how far do
+// independent shard journals scale concurrent writes, and how fast is
+// recovery as the journal grows?
 //
 // Three cell families, one BENCH_durability.json record:
 //
-//   mode=inline            sequential Puts, one fsync each: put_avg_ms,
-//                          put_p50_ms, puts_per_sec, fsync_per_put (~1).
-//   mode=group, threads=T  T closed-loop writer threads sharing the
-//                          group-commit window: puts_per_sec and
-//                          fsync_per_put (<< 1 when batching works).
-//   mode=recovery          a journal of N records is written, the store
-//                          closed, and reopen is timed: recovery_ms and
-//                          replayed records vs journal length.
+//   mode=inline            sequential Puts into a 1-shard store, one fsync
+//                          each: put_avg_ms, put_p50_ms, puts_per_sec,
+//                          fsync_per_put (~1).
+//   mode=shards, threads=T T closed-loop writer threads against a T-shard
+//                          store, writer t putting ids that route to
+//                          shard t: puts_per_sec shows whether N journals
+//                          supply the write concurrency group commit was
+//                          once for.
+//   mode=recovery          a 1-shard journal of N records is written, the
+//                          store closed, and reopen is timed: recovery_ms
+//                          and records_per_sec. Recovery builds only the
+//                          id → (version, disk location) index, so this is
+//                          the indexing rate, not a graph-building rate.
 //
 // All cells run against a real directory under /tmp (posix fsync — the
 // numbers include the device), with compaction disabled so journal length
@@ -33,16 +39,15 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "server/durable_profile_store.h"
 #include "server/json.h"
+#include "server/profile_store.h"
 #include "workload/movie_gen.h"
 #include "workload/profile_gen.h"
 
 namespace {
 
 using namespace cqp;  // NOLINT
-using server::DurabilityOptions;
-using server::DurableProfileStore;
+using server::ProfileStore;
 
 /// Compaction would truncate the journal mid-cell; push it out of reach so
 /// journal length stays the controlled variable.
@@ -53,14 +58,14 @@ struct PoolEntry {
   std::string text;
 };
 
-StatusOr<std::unique_ptr<DurableProfileStore>> OpenStore(
-    const storage::Database& db, const std::string& dir,
-    double group_commit_ms) {
-  DurabilityOptions options;
+StatusOr<std::unique_ptr<ProfileStore>> OpenStore(const storage::Database& db,
+                                                  const std::string& dir,
+                                                  size_t shards) {
+  server::StoreOptions options;
   options.dir = dir;
-  options.group_commit_interval_ms = group_commit_ms;
+  options.num_shards = shards;
   options.compact_threshold_bytes = kNoCompaction;
-  return DurableProfileStore::Open(&db, options);
+  return ProfileStore::Open(&db, options);
 }
 
 double Percentile(std::vector<double>& sorted_ms, double p) {
@@ -83,7 +88,7 @@ server::JsonValue RunInlineCell(const storage::Database& db,
                                 const std::string& dir, size_t n_ops) {
   using server::JsonValue;
   JsonValue cell = MakeCell("inline");
-  auto store = OpenStore(db, dir, /*group_commit_ms=*/0.0);
+  auto store = OpenStore(db, dir, /*shards=*/1);
   if (!store.ok()) {
     std::fprintf(stderr, "inline open: %s\n",
                  store.status().ToString().c_str());
@@ -103,7 +108,7 @@ server::JsonValue RunInlineCell(const storage::Database& db,
     }
   }
   const double wall_ms = wall.ElapsedMillis();
-  auto stats = (*store)->durability_stats();
+  const server::JournalStats stats = (*store)->stats().total.journal;
   std::sort(latencies_ms.begin(), latencies_ms.end());
   double sum = 0.0;
   for (double ms : latencies_ms) sum += ms;
@@ -116,27 +121,38 @@ server::JsonValue RunInlineCell(const storage::Database& db,
   cell.Set("put_p50_ms", JsonValue::Number(Percentile(latencies_ms, 0.5)));
   cell.Set("put_p99_ms", JsonValue::Number(Percentile(latencies_ms, 0.99)));
   cell.Set("fsync_per_put",
-           JsonValue::Number(static_cast<double>(stats->fsyncs) /
+           JsonValue::Number(static_cast<double>(stats.fsyncs) /
                              static_cast<double>(n_ops)));
   cell.Set("journal_bytes",
-           JsonValue::Number(static_cast<double>(stats->journal_bytes)));
+           JsonValue::Number(static_cast<double>(stats.journal_bytes)));
   return cell;
 }
 
-/// mode=group: `threads` closed-loop writers share the group-commit
-/// window; each Put still blocks until its record is fsynced.
-server::JsonValue RunGroupCell(const storage::Database& db,
-                               const std::vector<PoolEntry>& pool,
-                               const std::string& dir, size_t threads,
-                               size_t ops_per_thread,
-                               double group_commit_ms) {
+/// mode=shards: `threads` closed-loop writers against a store with one
+/// shard per writer; writer t only puts ids that route to shard t, so no
+/// two writers share a journal or a shard lock.
+server::JsonValue RunShardsCell(const storage::Database& db,
+                                const std::vector<PoolEntry>& pool,
+                                const std::string& dir, size_t threads,
+                                size_t ops_per_thread) {
   using server::JsonValue;
-  JsonValue cell = MakeCell("group");
-  auto store = OpenStore(db, dir, group_commit_ms);
+  JsonValue cell = MakeCell("shards");
+  auto store = OpenStore(db, dir, /*shards=*/threads);
   if (!store.ok()) {
-    std::fprintf(stderr, "group open: %s\n",
+    std::fprintf(stderr, "shards open: %s\n",
                  store.status().ToString().c_str());
     std::exit(1);
+  }
+  constexpr size_t kIdsPerWriter = 4;
+  std::vector<std::vector<std::string>> ids(threads);
+  size_t full = 0;
+  for (size_t i = 0; full < threads; ++i) {
+    std::string id = "u" + std::to_string(i);
+    std::vector<std::string>& mine =
+        ids[ProfileStore::ShardIndexForId(id, threads)];
+    if (mine.size() == kIdsPerWriter) continue;
+    mine.push_back(std::move(id));
+    if (mine.size() == kIdsPerWriter) ++full;
   }
   std::atomic<size_t> errors{0};
   std::vector<std::thread> writers;
@@ -145,9 +161,7 @@ server::JsonValue RunGroupCell(const storage::Database& db,
     writers.emplace_back([&, t] {
       for (size_t op = 0; op < ops_per_thread; ++op) {
         const PoolEntry& entry = pool[(t + op) % pool.size()];
-        const std::string id =
-            "u" + std::to_string(t) + "-" + std::to_string(op % 4);
-        if (!(*store)->Put(id, entry.profile).ok()) {
+        if (!(*store)->Put(ids[t][op % kIdsPerWriter], entry.profile).ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -156,22 +170,19 @@ server::JsonValue RunGroupCell(const storage::Database& db,
   for (std::thread& w : writers) w.join();
   const double wall_ms = wall.ElapsedMillis();
   const size_t n_ops = threads * ops_per_thread;
-  auto stats = (*store)->durability_stats();
+  const server::JournalStats stats = (*store)->stats().total.journal;
   if (errors.load() != 0) {
-    std::fprintf(stderr, "group cell: %zu failed puts\n", errors.load());
+    std::fprintf(stderr, "shards cell: %zu failed puts\n", errors.load());
     std::exit(1);
   }
 
   cell.Set("threads", JsonValue::Number(static_cast<double>(threads)));
-  cell.Set("group_commit_ms", JsonValue::Number(group_commit_ms));
   cell.Set("ops", JsonValue::Number(static_cast<double>(n_ops)));
   cell.Set("puts_per_sec",
            JsonValue::Number(1000.0 * static_cast<double>(n_ops) / wall_ms));
   cell.Set("fsync_per_put",
-           JsonValue::Number(static_cast<double>(stats->fsyncs) /
+           JsonValue::Number(static_cast<double>(stats.fsyncs) /
                              static_cast<double>(n_ops)));
-  cell.Set("group_commits",
-           JsonValue::Number(static_cast<double>(stats->group_commits)));
   return cell;
 }
 
@@ -183,9 +194,9 @@ server::JsonValue RunRecoveryCell(const storage::Database& db,
   JsonValue cell = MakeCell("recovery");
   uint64_t journal_bytes = 0;
   {
-    // Group mode with a tiny window keeps journal construction fast; the
-    // store is closed cleanly (destructor flushes) before the timed open.
-    auto store = OpenStore(db, dir, /*group_commit_ms=*/0.05);
+    // The store is closed cleanly (destructor flushes) before the timed
+    // open.
+    auto store = OpenStore(db, dir, /*shards=*/1);
     if (!store.ok()) {
       std::fprintf(stderr, "recovery setup open: %s\n",
                    store.status().ToString().c_str());
@@ -201,20 +212,21 @@ server::JsonValue RunRecoveryCell(const storage::Database& db,
         std::exit(1);
       }
     }
-    journal_bytes = (*store)->durability_stats()->journal_bytes;
+    journal_bytes = (*store)->stats().total.journal.journal_bytes;
   }
 
-  auto reopened = OpenStore(db, dir, /*group_commit_ms=*/0.0);
+  auto reopened = OpenStore(db, dir, /*shards=*/0);
   if (!reopened.ok()) {
     std::fprintf(stderr, "recovery reopen: %s\n",
                  reopened.status().ToString().c_str());
     std::exit(1);
   }
-  const DurableProfileStore::RecoveryInfo& info = (*reopened)->recovery();
-  if (info.replayed_records != n_records || info.torn_tail) {
+  const server::JournalStats info = (*reopened)->stats().total.journal;
+  if (info.replayed_records != n_records || info.torn_tail_recovered) {
     std::fprintf(stderr,
-                 "recovery cell: replayed %zu of %zu records, torn=%d\n",
-                 info.replayed_records, n_records, info.torn_tail ? 1 : 0);
+                 "recovery cell: replayed %llu of %zu records, torn=%d\n",
+                 static_cast<unsigned long long>(info.replayed_records),
+                 n_records, info.torn_tail_recovered ? 1 : 0);
     std::exit(1);
   }
 
@@ -269,9 +281,9 @@ int Run(bool smoke, const std::string& json_path) {
   const std::string base_dir = base;
 
   const size_t inline_ops = smoke ? 200 : 1000;
-  const std::vector<size_t> group_threads =
+  const std::vector<size_t> shard_threads =
       smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 4, 8};
-  const size_t group_ops_per_thread = smoke ? 100 : 400;
+  const size_t shard_ops_per_thread = smoke ? 100 : 400;
   const std::vector<size_t> recovery_records =
       smoke ? std::vector<size_t>{1000}
             : std::vector<size_t>{1000, 5000, 20000};
@@ -286,10 +298,9 @@ int Run(bool smoke, const std::string& json_path) {
   };
 
   cells.Append(RunInlineCell(*db, pool, fresh_dir(), inline_ops));
-  for (size_t threads : group_threads) {
-    cells.Append(RunGroupCell(*db, pool, fresh_dir(), threads,
-                              group_ops_per_thread,
-                              /*group_commit_ms=*/0.5));
+  for (size_t threads : shard_threads) {
+    cells.Append(RunShardsCell(*db, pool, fresh_dir(), threads,
+                               shard_ops_per_thread));
   }
   for (size_t records : recovery_records) {
     cells.Append(RunRecoveryCell(*db, pool, fresh_dir(), records));

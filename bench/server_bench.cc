@@ -71,7 +71,6 @@
 #include "server/protocol.h"
 #include "server/profile_store.h"
 #include "server/server.h"
-#include "server/shard/sharded_profile_store.h"
 #include "storage/journal/file.h"
 #include "storage/journal/snapshot.h"
 #include "workload/movie_gen.h"
@@ -778,7 +777,7 @@ server::JsonValue RunPlanCacheWorkload(const storage::Database& db,
       RunPlanPass(server.port(), concurrency, warm_queries, warm_reference);
 
   // Snapshot the server-side cache counters before shutting down.
-  construct::PlanCacheStats plan_stats = profiles.plans().stats();
+  construct::PlanCacheStats plan_stats = profiles.plan_stats();
   server.Stop();
 
   const double speedup = cold.qps > 0.0 ? warm.qps / cold.qps : 0.0;
@@ -870,10 +869,10 @@ bool BuildShardDirectory(const storage::Database& db, const std::string& dir,
                          size_t count, size_t num_shards,
                          const std::vector<std::string>& texts) {
   {
-    server::shard::ShardedStoreOptions options;
+    server::StoreOptions options;
     options.dir = dir;
     options.num_shards = num_shards;
-    auto store = server::shard::ShardedProfileStore::Open(&db, options);
+    auto store = server::ProfileStore::Open(&db, options);
     if (!store.ok()) {
       std::fprintf(stderr, "shard skeleton: %s\n",
                    store.status().ToString().c_str());
@@ -885,7 +884,7 @@ bool BuildShardDirectory(const storage::Database& db, const std::string& dir,
     storage::journal::SnapshotData data;
     for (size_t i = 0; i < count; ++i) {
       const std::string id = SweepId(i);
-      if (server::shard::ShardedProfileStore::ShardIndexForId(
+      if (server::ProfileStore::ShardIndexForId(
               id, num_shards) != shard) {
         continue;
       }
@@ -896,7 +895,7 @@ bool BuildShardDirectory(const storage::Database& db, const std::string& dir,
       data.entries.push_back(std::move(entry));
     }
     const std::string path =
-        dir + "/" + server::shard::ShardedProfileStore::ShardDirName(shard) +
+        dir + "/" + server::ProfileStore::ShardDirName(shard) +
         "/snapshot";
     Status written = storage::journal::WriteSnapshot(fs, path, data);
     if (!written.ok()) {
@@ -966,12 +965,12 @@ server::JsonValue RunShardSweep(const storage::Database& db,
     }
     const double build_ms = build_timer.ElapsedMillis();
 
-    server::shard::ShardedStoreOptions options;
+    server::StoreOptions options;
     options.dir = dir;
     options.num_shards = num_shards;
     options.resident_budget_bytes = budget_bytes;
     Stopwatch open_timer;
-    auto opened = server::shard::ShardedProfileStore::Open(&db, options);
+    auto opened = server::ProfileStore::Open(&db, options);
     if (!opened.ok()) {
       std::fprintf(stderr, "sweep open: %s\n",
                    opened.status().ToString().c_str());
@@ -979,7 +978,7 @@ server::JsonValue RunShardSweep(const storage::Database& db,
       continue;
     }
     const double open_ms = open_timer.ElapsedMillis();
-    server::shard::ShardedProfileStore& store = **opened;
+    server::ProfileStore& store = **opened;
     CQP_CHECK(store.size() == count);
 
     // Cold scan: single-threaded Finds of ids never touched since Open —
@@ -1040,10 +1039,9 @@ server::JsonValue RunShardSweep(const storage::Database& db,
       *failures += null_finds.load();
     }
 
-    auto tier = store.shard_stats();
-    CQP_CHECK(tier.has_value());
+    const server::ShardStats tier = store.stats().total;
     const double resident_mb =
-        static_cast<double>(tier->resident_bytes) / (1024.0 * 1024.0);
+        static_cast<double>(tier.resident_bytes) / (1024.0 * 1024.0);
     const double budget_mb =
         static_cast<double>(budget_bytes) / (1024.0 * 1024.0);
     // The bounded-memory claim, with the issue's ±20% tolerance (pinned
@@ -1055,18 +1053,18 @@ server::JsonValue RunShardSweep(const storage::Database& db,
                    resident_mb, budget_mb);
       ++*failures;
     }
-    if (tier->page_in_errors > 0) {
+    if (tier.page_in_errors > 0) {
       std::fprintf(stderr, "%llu page-in errors\n",
-                   static_cast<unsigned long long>(tier->page_in_errors));
-      *failures += tier->page_in_errors;
+                   static_cast<unsigned long long>(tier.page_in_errors));
+      *failures += tier.page_in_errors;
     }
     const double rss_mb = RssMb();
 
     std::printf("%9zu %9.0f %9.0f %12.3f %10.1f %9.3f %9llu %11llu %7.1fMB %8.1f\n",
                 count, build_ms, open_ms, p99_cold, qps,
                 Percentile(mixed_ms, 0.99),
-                static_cast<unsigned long long>(tier->page_ins),
-                static_cast<unsigned long long>(tier->evictions),
+                static_cast<unsigned long long>(tier.page_ins),
+                static_cast<unsigned long long>(tier.evictions),
                 resident_mb, rss_mb);
 
     JsonValue cell = JsonValue::Object();
@@ -1085,13 +1083,13 @@ server::JsonValue RunShardSweep(const storage::Database& db,
     cell.Set("p50_ms", JsonValue::Number(Percentile(mixed_ms, 0.50)));
     cell.Set("p99_ms", JsonValue::Number(Percentile(mixed_ms, 0.99)));
     cell.Set("page_ins",
-             JsonValue::Number(static_cast<double>(tier->page_ins)));
+             JsonValue::Number(static_cast<double>(tier.page_ins)));
     cell.Set("page_in_waits",
-             JsonValue::Number(static_cast<double>(tier->page_in_waits)));
+             JsonValue::Number(static_cast<double>(tier.page_in_waits)));
     cell.Set("evictions",
-             JsonValue::Number(static_cast<double>(tier->evictions)));
+             JsonValue::Number(static_cast<double>(tier.evictions)));
     cell.Set("pinned_skips",
-             JsonValue::Number(static_cast<double>(tier->pinned_skips)));
+             JsonValue::Number(static_cast<double>(tier.pinned_skips)));
     cell.Set("resident_mb", JsonValue::Number(resident_mb));
     cell.Set("resident_within_budget", JsonValue::Bool(resident_ok));
     cell.Set("rss_mb", JsonValue::Number(rss_mb));

@@ -47,7 +47,7 @@ LOWER_IS_BETTER = {"wall_ms", "p50_ms", "p99_ms", "degraded",
 # Measured values that are neither identity nor judged (counters that
 # legitimately move when the code under test changes).
 IGNORED = {"states", "requests", "identity_checked", "shed", "other",
-           "journal_bytes", "group_commits", "frontiers", "frontier_states",
+           "journal_bytes", "frontiers", "frontier_states",
            "avg_frontier_width", "lanes_wasted",
            # Sharded tier: traffic counters and environment readings that
            # track workload shape, not quality. resident_within_budget is

@@ -9,15 +9,15 @@
 
 namespace cqp::server {
 
-/// Journal record payload shared by DurableProfileStore and the sharded
-/// profile tier (the framing + CRC live in journal::FrameRecord):
+/// Journal record payload of every ProfileStore shard (the framing + CRC
+/// live in journal::FrameRecord):
 ///
 ///   put:    'P' [version u64][id lpstring][profile text lpstring]
 ///   remove: 'R' [version u64][id lpstring]
 ///
-/// where lpstring = [len u32][bytes]. Both stores write the same records,
-/// which is what makes a single-directory store migratable into shard 0
-/// of a sharded tier (docs/durability.md).
+/// where lpstring = [len u32][bytes]. The older single-directory store
+/// wrote the same records, which is what makes its directory migratable
+/// into shard 0 of a one-shard store (docs/durability.md).
 inline constexpr char kJournalOpPut = 'P';
 inline constexpr char kJournalOpRemove = 'R';
 

@@ -1,11 +1,11 @@
 #ifndef CQP_SERVER_PROFILE_STORE_H_
 #define CQP_SERVER_PROFILE_STORE_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
-#include <optional>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -14,37 +14,40 @@
 #include "prefs/graph.h"
 #include "prefs/profile.h"
 #include "storage/database.h"
+#include "storage/journal/file.h"
+#include "storage/journal/snapshot.h"
 
 namespace cqp::server {
 
-/// Counters exposed by a durable store (DurableProfileStore); the base
-/// in-memory store reports std::nullopt. Served by the stats wire op.
-struct DurabilityStats {
+namespace shard {
+class ProfileShard;
+}  // namespace shard
+
+/// Journal counters of one shard, or summed over the store. All zero for
+/// an in-memory store. Served as the stats op's `journal` object.
+struct JournalStats {
   uint64_t appends = 0;        ///< journal records written
   uint64_t append_bytes = 0;   ///< framed bytes appended
   uint64_t fsyncs = 0;         ///< journal fsync calls
-  uint64_t group_commits = 0;  ///< fsyncs that committed >1 mutation
   uint64_t compactions = 0;    ///< snapshot compactions completed
   uint64_t journal_bytes = 0;  ///< current journal length
   uint64_t snapshot_bytes = 0; ///< last written snapshot size
-  bool wedged = false;         ///< journal failed; store is read-only
+  bool wedged = false;         ///< journal failed; shard is read-only
   /// Recovery at Open() time:
-  uint64_t recovered_profiles = 0;  ///< profiles restored (snapshot+journal)
+  uint64_t recovered_profiles = 0;  ///< ids indexed (snapshot+journal)
   uint64_t replayed_records = 0;    ///< journal records applied
   uint64_t dropped_bytes = 0;       ///< torn/corrupt tail truncated
   bool torn_tail_recovered = false;
   double recovery_ms = 0.0;
 };
 
-/// Per-shard counters of a sharded, demand-paged store
-/// (shard::ShardedProfileStore); served by the stats wire op and the
-/// shell's .stats display. All counters are cumulative since Open.
+/// Paging and journal counters of one shard, cumulative since Open. Served
+/// by the stats op's `shard_tier` object.
 struct ShardStats {
-  size_t shard = 0;                  ///< shard index
   size_t profiles = 0;               ///< ids the shard knows (resident or not)
   size_t resident_profiles = 0;      ///< graphs currently in memory
   uint64_t resident_bytes = 0;       ///< accounted bytes of resident graphs
-  uint64_t resident_budget_bytes = 0;
+  uint64_t resident_budget_bytes = 0;  ///< 0 = unbounded (in memory)
   uint64_t hits = 0;           ///< lookups served from a resident graph
   uint64_t misses = 0;         ///< lookups for an unknown id
   uint64_t page_ins = 0;       ///< cold graphs loaded from disk
@@ -52,91 +55,109 @@ struct ShardStats {
   uint64_t page_in_errors = 0; ///< disk refs that failed to load
   uint64_t evictions = 0;      ///< resident graphs dropped for budget
   uint64_t pinned_skips = 0;   ///< eviction passes over an in-use graph
-  DurabilityStats journal;     ///< this shard's journal counters
+  JournalStats journal;        ///< this shard's journal counters
 };
 
-/// The whole shard tier: per-shard counters plus precomputed sums (the
-/// stats op reports both; the sums are what dashboards watch).
-struct ShardTierStats {
-  size_t shards = 0;
-  uint64_t resident_bytes = 0;
-  uint64_t resident_budget_bytes = 0;
-  size_t profiles = 0;
-  size_t resident_profiles = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t page_ins = 0;
-  uint64_t page_in_waits = 0;
-  uint64_t page_in_errors = 0;
-  uint64_t evictions = 0;
-  uint64_t pinned_skips = 0;
+/// The whole store: sums over the shards (booleans OR-ed, recovery_ms the
+/// wall time of Open) plus one entry per shard, indexed by shard.
+struct StoreStats {
+  ShardStats total;
   std::vector<ShardStats> per_shard;
 };
 
-/// In-memory id → user-profile registry for the personalization server.
+/// Configuration for ProfileStore::Open. The residency budget is the
+/// store total; each shard gets an equal slice.
+struct StoreOptions {
+  /// Root directory; shard `i` lives in `<dir>/shard-NNN/` and a MANIFEST
+  /// file records the shard count (routing is hash(id) % N, so opening
+  /// with a different N would silently lose profiles — the manifest makes
+  /// that a hard error instead).
+  std::string dir;
+  /// Shard count when creating a fresh directory; 0 adopts the manifest
+  /// (or kDefaultShards when the directory is fresh). Opening an existing
+  /// store with a conflicting non-zero value is an error.
+  size_t num_shards = 0;
+  /// Total resident-graph budget across all shards.
+  uint64_t resident_budget_bytes = 256ull << 20;
+  /// Per-shard journal compaction threshold.
+  uint64_t compact_threshold_bytes = 4ull << 20;
+  /// File I/O goes through this filesystem; null = PosixFileSystem().
+  /// Tests and the crash fuzzer pass a FaultyFileSystem.
+  storage::FileSystem* fs = nullptr;
+};
+
+/// The id → user-profile store of the personalization server: N
+/// shard::ProfileShards, each with its own lock, LRU working set and
+/// cache slice, and — when durable — its own write-ahead journal and
+/// snapshot. Profiles route to a shard by a stable hash of the id.
 ///
-/// Each stored profile is kept as a fully built PersonalizationGraph
-/// (validated against the database at Put time, so serving never pays the
-/// validation and a bad profile is rejected before it can break requests).
-/// Graphs are handed out as shared_ptr<const …>: a hot-reload replacing a
-/// profile never invalidates the graph an in-flight request is using.
+/// Two ways to get one:
+///  * `ProfileStore(db)` is in memory: one shard, no directory, no
+///    journal, unbounded residency (nothing is ever evicted or paged).
+///  * `ProfileStore::Open(db, options)` is durable: every Put/Remove is
+///    journaled and fsynced before it applies, OK means it survives a
+///    crash, a journal failure wedges its shard, graphs page in on demand
+///    under the resident budget (docs/durability.md, docs/server.md).
 ///
-/// The store owns an EvalCacheRegistry and a PlanCache and invalidates a
-/// profile's entries in both on every Put/Remove — the invalidation hook
-/// that keeps the server's cross-request memoization coherent with profile
-/// updates. Both cache families additionally embed the snapshot version in
-/// their keys, so invalidation is a memory-reclaim, never a correctness
-/// dependency.
+/// Each stored profile is a fully built PersonalizationGraph, validated
+/// against the database at Put time and handed out as shared_ptr<const …>:
+/// a hot-reload never invalidates the graph an in-flight request holds.
+/// Every shard owns an EvalCacheRegistry and a PlanCache and invalidates a
+/// profile's entries in both on Put/Remove; both caches also embed the
+/// snapshot version in their keys, so invalidation reclaims memory and is
+/// never a correctness dependency. Versions are monotonic per shard.
 ///
-/// Durability: this base class is process-lifetime only. The write-ahead
-/// hooks (WriteAheadLocked / WaitDurable, no-ops here) let
-/// DurableProfileStore journal every mutation BEFORE it touches the map
-/// and block the caller until the record is fsynced — without the server
-/// or shell knowing which mode they run against.
-///
-/// Thread safety: all methods are thread-safe (shared_mutex; Find takes
-/// the shared lock).
+/// Thread safety: all methods are thread-safe.
 class ProfileStore {
  public:
-  /// `db` must be Analyze()d and outlive the store.
+  static constexpr size_t kDefaultShards = 16;
+
+  /// The in-memory store. `db` must be Analyze()d and outlive the store.
   explicit ProfileStore(const storage::Database* db);
-  virtual ~ProfileStore() = default;
+
+  /// Opens (or creates) the durable store under options.dir: reads or
+  /// writes the MANIFEST, then opens every shard (recovering each
+  /// independently). FailedPrecondition for a single-directory store
+  /// (journal/snapshot at the root, no MANIFEST) that was never migrated.
+  static StatusOr<std::unique_ptr<ProfileStore>> Open(
+      const storage::Database* db, StoreOptions options);
+
+  ~ProfileStore();  ///< flushes and closes every journal
 
   ProfileStore(const ProfileStore&) = delete;
   ProfileStore& operator=(const ProfileStore&) = delete;
 
-  /// Validates `profile` against the database, builds its graph and stores
-  /// it under `id` (replacing any previous version). Invalidates the id's
-  /// evaluation caches. In a durable store, OK additionally means the
-  /// mutation is journaled and fsynced (it survives a crash).
-  virtual Status Put(const std::string& id, prefs::Profile profile);
+  /// The routing function: FNV-1a over the id, mod num_shards. Exposed so
+  /// tools (benches laying out directories, crashfuzz oracles) can
+  /// predict placement without opening a store.
+  static size_t ShardIndexForId(std::string_view id, size_t num_shards);
 
-  /// Removes `id` (and its caches). NotFound when absent.
-  virtual Status Remove(const std::string& id);
-
-  /// Forces any buffered journal writes to disk. No-op for the in-memory
-  /// store. Called by Server::Stop() as part of graceful shutdown.
-  virtual Status Flush() { return Status::OK(); }
-
-  /// Journal/fsync counters when durable; nullopt for the in-memory store.
-  virtual std::optional<DurabilityStats> durability_stats() const {
-    return std::nullopt;
-  }
+  /// "shard-000", "shard-001", ...
+  static std::string ShardDirName(size_t index);
 
   /// One consistent view of a stored profile: the graph plus the version
   /// stamped at Put time. The version participates in evaluation-cache
   /// keys, so a request racing a hot-reload can only ever populate (and
-  /// read) a cache matching the graph it actually holds — stale cache
-  /// entries under a newer graph are impossible by construction, not just
-  /// by invalidation timing.
+  /// read) a cache matching the graph it actually holds.
   struct Snapshot {
     std::shared_ptr<const prefs::PersonalizationGraph> graph;  ///< null if unknown
     uint64_t version = 0;
   };
 
-  /// The stored graph + version; Snapshot::graph is nullptr when `id` is
-  /// unknown. A demand-paged store may do disk I/O here (cold profile).
-  virtual Snapshot FindSnapshot(const std::string& id) const;
+  /// Validates `profile` against the database, builds its graph and stores
+  /// it under `id` (replacing any previous version), invalidating the id's
+  /// caches. In a durable store OK means journaled and fsynced.
+  Status Put(const std::string& id, const prefs::Profile& profile);
+
+  /// Removes `id` (and its caches). NotFound when absent.
+  Status Remove(const std::string& id);
+
+  /// fsyncs every journal; first error wins. Called by Server::Stop().
+  Status Flush();
+
+  /// The stored graph + version; Snapshot::graph is null when `id` is
+  /// unknown. A durable store may read the disk here (cold profile).
+  Snapshot FindSnapshot(const std::string& id) const;
 
   /// The stored graph, or nullptr when `id` is unknown.
   std::shared_ptr<const prefs::PersonalizationGraph> Find(
@@ -155,97 +176,43 @@ class ProfileStore {
   /// its caches. FailedPrecondition when no directory was ever loaded.
   StatusOr<size_t> Reload();
 
-  /// Stored ids, sorted.
-  virtual std::vector<std::string> Ids() const;
+  std::vector<std::string> Ids() const;  ///< merged over shards, sorted
+  size_t size() const;
 
-  virtual size_t size() const;
+  /// The owning shard's cache registry / plan cache for `id`: cache
+  /// traffic and invalidation never cross a shard lock.
+  estimation::EvalCacheRegistry& caches_for(const std::string& id);
+  construct::PlanCache& plans_for(const std::string& id);
 
-  /// The per-(profile, query) evaluation-cache registry the server shares
-  /// across requests. Put/Remove invalidate per profile id automatically.
-  estimation::EvalCacheRegistry& caches() { return caches_; }
+  /// Plan-cache counters summed over every shard.
+  construct::PlanCacheStats plan_stats() const;
 
-  /// The shared plan cache (PreparedSpace artifacts keyed by query
-  /// fingerprint + profile snapshot version). Same invalidation contract
-  /// as caches().
-  construct::PlanCache& plans() { return plans_; }
+  StoreStats stats() const;
 
-  /// The cache registry / plan cache responsible for `id`. The base store
-  /// has one of each; a sharded store returns the owning shard's slice so
-  /// cache traffic and invalidation never cross a shard lock. Request
-  /// paths must use these, not caches()/plans(), to stay shard-correct.
-  virtual estimation::EvalCacheRegistry& caches_for(const std::string& id) {
-    (void)id;
-    return caches_;
-  }
-  virtual construct::PlanCache& plans_for(const std::string& id) {
-    (void)id;
-    return plans_;
-  }
+  /// Snapshot-compacts every shard now (tests / tooling).
+  Status Compact();
 
-  /// Plan-cache counters summed over every shard slice (== plans().stats()
-  /// for the single-cache base store).
-  virtual construct::PlanCacheStats plan_stats() const { return plans_.stats(); }
+  /// The full durable contents as (id, version, profile text), sorted by
+  /// id — the oracle view of tools/cqp_crashfuzz and the tests. Reads
+  /// paged-out values back from disk, hence fallible; FailedPrecondition
+  /// in memory.
+  StatusOr<std::vector<storage::journal::SnapshotEntry>> Contents() const;
 
-  /// Paging/residency counters when this store is a sharded tier; nullopt
-  /// otherwise.
-  virtual std::optional<ShardTierStats> shard_stats() const {
-    return std::nullopt;
-  }
+  bool wedged() const;  ///< true when ANY shard is wedged
 
- protected:
-  /// One mutation, as seen by the write-ahead hook. `profile` is null for
-  /// removes; `version` is the version the mutation will be stamped with.
-  struct Mutation {
-    enum class Kind { kPut, kRemove };
-    Kind kind;
-    const std::string& id;
-    const prefs::Profile* profile;
-    uint64_t version;
-  };
-
-  /// Called under the exclusive lock BEFORE the in-memory map mutates.
-  /// A durable store appends the journal record here; an error aborts the
-  /// mutation (write-ahead: nothing is applied that was not journaled).
-  /// `commit_token` is passed back to WaitDurable.
-  virtual Status WriteAheadLocked(const Mutation& mutation,
-                                  uint64_t* commit_token) {
-    (void)mutation;
-    *commit_token = 0;
-    return Status::OK();
-  }
-
-  /// Called after the map mutation, with the lock released. A durable
-  /// store blocks here until the journal record is fsynced (group commit);
-  /// an error means the mutation is applied in memory but its durability
-  /// is unknown — the store wedges and refuses further writes.
-  virtual Status WaitDurable(uint64_t commit_token) {
-    (void)commit_token;
-    return Status::OK();
-  }
-
-  /// Builds + validates a graph for `profile` (the Put-time half shared
-  /// with recovery).
-  StatusOr<std::shared_ptr<const prefs::PersonalizationGraph>> BuildGraph(
-      prefs::Profile profile) const;
-
-  /// Recovery-path mutations: apply without journaling, invalidation or
-  /// version assignment (the journal record carries its version).
-  void RestorePut(const std::string& id,
-                  std::shared_ptr<const prefs::PersonalizationGraph> graph,
-                  uint64_t version);
-  void RestoreRemove(const std::string& id);
-  /// Raises next_version_ to at least `version`.
-  void SetNextVersion(uint64_t version);
-
-  mutable std::shared_mutex mu_;
-  std::map<std::string, Snapshot> graphs_;  ///< guarded by mu_
-  uint64_t next_version_ = 1;               ///< guarded by mu_
+  size_t num_shards() const { return shards_.size(); }
+  shard::ProfileShard& shard(size_t index) { return *shards_[index]; }
 
  private:
-  const storage::Database* db_;
-  estimation::EvalCacheRegistry caches_;
-  construct::PlanCache plans_;
-  std::string directory_;  ///< guarded by mu_
+  ProfileStore() = default;
+
+  shard::ProfileShard& ShardFor(const std::string& id) const;
+
+  std::vector<std::unique_ptr<shard::ProfileShard>> shards_;
+  double open_ms_ = 0.0;  ///< wall time of Open (all shards, sequential)
+
+  mutable std::mutex directory_mu_;
+  std::string directory_;  ///< LoadDirectory's; guarded by directory_mu_
 };
 
 }  // namespace cqp::server

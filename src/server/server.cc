@@ -261,61 +261,61 @@ JsonValue Server::StatsJson() {
   plans.Set("entries", num(plan_stats.entries));
   out.Set("plan_cache", std::move(plans));
 
-  if (std::optional<DurabilityStats> ds = profiles_->durability_stats()) {
-    JsonValue journal = JsonValue::Object();
-    journal.Set("appends", num(ds->appends));
-    journal.Set("append_bytes", num(ds->append_bytes));
-    journal.Set("fsyncs", num(ds->fsyncs));
-    journal.Set("group_commits", num(ds->group_commits));
-    journal.Set("compactions", num(ds->compactions));
-    journal.Set("journal_bytes", num(ds->journal_bytes));
-    journal.Set("snapshot_bytes", num(ds->snapshot_bytes));
-    journal.Set("wedged", JsonValue::Bool(ds->wedged));
-    journal.Set("recovered_profiles", num(ds->recovered_profiles));
-    journal.Set("replayed_records", num(ds->replayed_records));
-    journal.Set("dropped_bytes", num(ds->dropped_bytes));
-    journal.Set("torn_tail_recovered", JsonValue::Bool(ds->torn_tail_recovered));
-    journal.Set("recovery_ms", JsonValue::Number(ds->recovery_ms));
-    out.Set("journal", std::move(journal));
-  }
+  // The store: journal totals and the shard tier, always present (all
+  // journal and paging counters read 0 for the in-memory store).
+  const StoreStats store = profiles_->stats();
+  const JournalStats& js = store.total.journal;
+  JsonValue journal = JsonValue::Object();
+  journal.Set("appends", num(js.appends));
+  journal.Set("append_bytes", num(js.append_bytes));
+  journal.Set("fsyncs", num(js.fsyncs));
+  // Deprecated: group commit is gone; kept at 0 for one more version.
+  journal.Set("group_commits", num(0));
+  journal.Set("compactions", num(js.compactions));
+  journal.Set("journal_bytes", num(js.journal_bytes));
+  journal.Set("snapshot_bytes", num(js.snapshot_bytes));
+  journal.Set("wedged", JsonValue::Bool(js.wedged));
+  journal.Set("recovered_profiles", num(js.recovered_profiles));
+  journal.Set("replayed_records", num(js.replayed_records));
+  journal.Set("dropped_bytes", num(js.dropped_bytes));
+  journal.Set("torn_tail_recovered", JsonValue::Bool(js.torn_tail_recovered));
+  journal.Set("recovery_ms", JsonValue::Number(js.recovery_ms));
+  out.Set("journal", std::move(journal));
 
-  // The demand-paged tier, when the store is sharded: tier aggregates plus
-  // one object per shard (paging counters + that shard's journal).
-  if (std::optional<ShardTierStats> tier = profiles_->shard_stats()) {
-    auto paging = [&num](const auto& s, JsonValue& obj) {
-      obj.Set("profiles", num(s.profiles));
-      obj.Set("resident_profiles", num(s.resident_profiles));
-      obj.Set("resident_bytes", num(s.resident_bytes));
-      obj.Set("resident_budget_bytes", num(s.resident_budget_bytes));
-      obj.Set("hits", num(s.hits));
-      obj.Set("misses", num(s.misses));
-      obj.Set("page_ins", num(s.page_ins));
-      obj.Set("page_in_waits", num(s.page_in_waits));
-      obj.Set("page_in_errors", num(s.page_in_errors));
-      obj.Set("evictions", num(s.evictions));
-      obj.Set("pinned_skips", num(s.pinned_skips));
-    };
-    JsonValue shard_tier = JsonValue::Object();
-    shard_tier.Set("shards", num(tier->shards));
-    paging(*tier, shard_tier);
-    JsonValue per_shard = JsonValue::Array();
-    for (const ShardStats& s : tier->per_shard) {
-      JsonValue one = JsonValue::Object();
-      one.Set("shard", num(s.shard));
-      paging(s, one);
-      JsonValue journal = JsonValue::Object();
-      journal.Set("appends", num(s.journal.appends));
-      journal.Set("fsyncs", num(s.journal.fsyncs));
-      journal.Set("compactions", num(s.journal.compactions));
-      journal.Set("journal_bytes", num(s.journal.journal_bytes));
-      journal.Set("snapshot_bytes", num(s.journal.snapshot_bytes));
-      journal.Set("wedged", JsonValue::Bool(s.journal.wedged));
-      one.Set("journal", std::move(journal));
-      per_shard.Append(std::move(one));
-    }
-    shard_tier.Set("per_shard", std::move(per_shard));
-    out.Set("shard_tier", std::move(shard_tier));
+  auto paging = [&num](const ShardStats& s, JsonValue& obj) {
+    obj.Set("profiles", num(s.profiles));
+    obj.Set("resident_profiles", num(s.resident_profiles));
+    obj.Set("resident_bytes", num(s.resident_bytes));
+    obj.Set("resident_budget_bytes", num(s.resident_budget_bytes));
+    obj.Set("hits", num(s.hits));
+    obj.Set("misses", num(s.misses));
+    obj.Set("page_ins", num(s.page_ins));
+    obj.Set("page_in_waits", num(s.page_in_waits));
+    obj.Set("page_in_errors", num(s.page_in_errors));
+    obj.Set("evictions", num(s.evictions));
+    obj.Set("pinned_skips", num(s.pinned_skips));
+  };
+  JsonValue shard_tier = JsonValue::Object();
+  shard_tier.Set("shards", num(store.per_shard.size()));
+  paging(store.total, shard_tier);
+  JsonValue per_shard = JsonValue::Array();
+  for (size_t i = 0; i < store.per_shard.size(); ++i) {
+    const ShardStats& s = store.per_shard[i];
+    JsonValue one = JsonValue::Object();
+    one.Set("shard", num(i));
+    paging(s, one);
+    JsonValue shard_journal = JsonValue::Object();
+    shard_journal.Set("appends", num(s.journal.appends));
+    shard_journal.Set("fsyncs", num(s.journal.fsyncs));
+    shard_journal.Set("compactions", num(s.journal.compactions));
+    shard_journal.Set("journal_bytes", num(s.journal.journal_bytes));
+    shard_journal.Set("snapshot_bytes", num(s.journal.snapshot_bytes));
+    shard_journal.Set("wedged", JsonValue::Bool(s.journal.wedged));
+    one.Set("journal", std::move(shard_journal));
+    per_shard.Append(std::move(one));
   }
+  shard_tier.Set("per_shard", std::move(per_shard));
+  out.Set("shard_tier", std::move(shard_tier));
   return out;
 }
 

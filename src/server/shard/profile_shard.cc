@@ -170,6 +170,7 @@ void ProfileShard::InstallResidentLocked(
 }
 
 void ProfileShard::EvictLocked() {
+  if (options_.resident_budget_bytes == 0) return;  // unbounded
   auto it = lru_.begin();
   while (resident_bytes_ > options_.resident_budget_bytes &&
          it != lru_.end()) {
@@ -194,59 +195,64 @@ void ProfileShard::EvictLocked() {
   }
 }
 
+Status ProfileShard::AppendLocked(const std::string& payload) {
+  // An error means the mutation was NOT applied, and the journal tail is
+  // unknowable — wedge.
+  Status appended = journal_->Append(payload);
+  ++appends_;
+  append_bytes_ += payload.size() + storage::journal::kRecordHeaderBytes;
+  if (!appended.ok()) {
+    WedgeLocked(appended);
+    cv_.notify_all();
+    return appended;
+  }
+  Status synced = journal_->Sync();
+  ++fsyncs_;
+  if (!synced.ok()) {
+    WedgeLocked(synced);
+    cv_.notify_all();
+    return synced;
+  }
+  journal_bytes_ = journal_->end_offset();
+  return Status::OK();
+}
+
 Status ProfileShard::Put(const std::string& id, const prefs::Profile& profile) {
   if (id.empty()) return InvalidArgument("profile id must be non-empty");
   // Validate + build outside the lock (the expensive, fallible half).
-  prefs::Profile copy = profile;
-  CQP_ASSIGN_OR_RETURN(
-      prefs::PersonalizationGraph built,
-      prefs::PersonalizationGraph::Build(std::move(copy), *db_));
+  CQP_ASSIGN_OR_RETURN(prefs::PersonalizationGraph built,
+                       prefs::PersonalizationGraph::Build(profile, *db_));
   auto graph =
       std::make_shared<const prefs::PersonalizationGraph>(std::move(built));
-  const std::string text = profile.ToText();
+  // Only the journal needs the text: an in-memory Put never serializes.
+  const std::string text = in_memory() ? std::string() : profile.ToText();
 
   bool compact_now = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (wedged_) return wedge_status_;
     const uint64_t version = next_version_;
-    const std::string payload =
-        EncodeProfileMutation(kJournalOpPut, version, id, text);
-    const uint64_t record_start = journal_->end_offset();
-
-    // Write-ahead: journal + fsync before the index mutates. An error
-    // means the mutation was NOT applied (and the tail is unknowable —
-    // wedge, per the PR 6 failure policy).
-    Status appended = journal_->Append(payload);
-    ++appends_;
-    append_bytes_ += payload.size() + storage::journal::kRecordHeaderBytes;
-    if (!appended.ok()) {
-      WedgeLocked(appended);
-      cv_.notify_all();
-      return appended;
-    }
-    Status synced = journal_->Sync();
-    ++fsyncs_;
-    if (!synced.ok()) {
-      WedgeLocked(synced);
-      cv_.notify_all();
-      return synced;
+    DiskRef ref;
+    if (!in_memory()) {
+      ref = DiskRef{DiskRef::Where::kJournal,
+                    journal_->end_offset() +
+                        storage::journal::kRecordHeaderBytes +
+                        PutPayloadTextOffset(id.size()),
+                    static_cast<uint32_t>(text.size())};
+      CQP_RETURN_IF_ERROR(AppendLocked(
+          EncodeProfileMutation(kJournalOpPut, version, id, text)));
+      compact_now = journal_bytes_ > options_.compact_threshold_bytes;
     }
 
     next_version_ = version + 1;
     Entry& entry = entries_[id];
     entry.version = version;
-    entry.ref = DiskRef{DiskRef::Where::kJournal,
-                        record_start + storage::journal::kRecordHeaderBytes +
-                            PutPayloadTextOffset(id.size()),
-                        static_cast<uint32_t>(text.size())};
+    entry.ref = ref;
     // Any page-in still in flight for the replaced version is now stale;
     // the loader detects that via the version check, not this flag.
     entry.loading = false;
     InstallResidentLocked(id, entry, std::move(graph));
     EvictLocked();
-    journal_bytes_ = journal_->end_offset();
-    compact_now = journal_bytes_ > options_.compact_threshold_bytes;
   }
   cv_.notify_all();
   caches_.InvalidateProfile(id);
@@ -268,29 +274,15 @@ Status ProfileShard::Remove(const std::string& id) {
     auto it = entries_.find(id);
     if (it == entries_.end()) return NotFound("no profile '" + id + "'");
     const uint64_t version = next_version_;
-    const std::string payload =
-        EncodeProfileMutation(kJournalOpRemove, version, id, std::string());
-    Status appended = journal_->Append(payload);
-    ++appends_;
-    append_bytes_ += payload.size() + storage::journal::kRecordHeaderBytes;
-    if (!appended.ok()) {
-      WedgeLocked(appended);
-      cv_.notify_all();
-      return appended;
-    }
-    Status synced = journal_->Sync();
-    ++fsyncs_;
-    if (!synced.ok()) {
-      WedgeLocked(synced);
-      cv_.notify_all();
-      return synced;
+    if (!in_memory()) {
+      CQP_RETURN_IF_ERROR(AppendLocked(EncodeProfileMutation(
+          kJournalOpRemove, version, id, std::string())));
     }
     // Removes consume a version too, so journal order equals version
     // order and replay can key idempotence off the version alone.
     next_version_ = version + 1;
     DropResidencyLocked(it->second);
     entries_.erase(it);
-    journal_bytes_ = journal_->end_offset();
   }
   // Waiters parked on a page-in of this id wake and re-find: miss.
   cv_.notify_all();
@@ -379,6 +371,7 @@ ProfileStore::Snapshot ProfileShard::Find(const std::string& id) {
 
 Status ProfileShard::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
+  if (in_memory()) return Status::OK();
   if (wedged_) return wedge_status_;
   Status synced = journal_->Sync();
   ++fsyncs_;
@@ -391,6 +384,7 @@ Status ProfileShard::Flush() {
 
 Status ProfileShard::Compact() {
   std::unique_lock<std::mutex> lock(mu_);
+  if (in_memory()) return Status::OK();
   if (wedged_) return wedge_status_;
   if (journal_bytes_ == 0) return Status::OK();  // raced another compaction
   // Quiesce page-ins: loaders pread from the files this is about to
@@ -510,7 +504,6 @@ bool ProfileShard::wedged() const {
 ShardStats ProfileShard::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ShardStats s;
-  s.shard = index_;
   s.profiles = entries_.size();
   s.resident_profiles = resident_profiles_;
   s.resident_bytes = resident_bytes_;
@@ -525,7 +518,6 @@ ShardStats ProfileShard::stats() const {
   s.journal.appends = appends_;
   s.journal.append_bytes = append_bytes_;
   s.journal.fsyncs = fsyncs_;
-  s.journal.group_commits = 0;  // sharded tier fsyncs inline by design
   s.journal.compactions = compactions_;
   s.journal.journal_bytes = journal_bytes_;
   s.journal.snapshot_bytes = snapshot_bytes_;
@@ -540,6 +532,10 @@ ShardStats ProfileShard::stats() const {
 }
 
 StatusOr<std::vector<SnapshotEntry>> ProfileShard::Contents() const {
+  if (in_memory()) {
+    return FailedPrecondition(
+        "an in-memory profile shard has no durable contents");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SnapshotEntry> out;
   out.reserve(entries_.size());

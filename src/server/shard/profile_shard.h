@@ -22,26 +22,26 @@
 
 namespace cqp::server::shard {
 
-/// Per-shard configuration (ShardedProfileStore divides its totals by the
+/// Per-shard configuration (ProfileStore::Open divides its totals by the
 /// shard count before constructing these).
 struct ShardOptions {
   /// Directory holding this shard's `journal` and `snapshot`; created if
-  /// missing. Same file formats as the single-directory
-  /// DurableProfileStore, so one PR 6 directory IS a valid shard.
+  /// missing. Empty for an in-memory shard.
   std::string dir;
   /// Snapshot-compact the journal once it grows past this many bytes.
   uint64_t compact_threshold_bytes = 4ull << 20;
   /// Resident working-set budget: once the accounted bytes of in-memory
   /// graphs exceed this, the LRU tail is paged out (in-use graphs are
-  /// skipped — see Find()).
-  uint64_t resident_budget_bytes = 64ull << 20;
+  /// skipped — see Find()). 0 = unbounded: nothing is ever evicted.
+  uint64_t resident_budget_bytes = 0;
   /// File I/O goes through this filesystem; null = PosixFileSystem().
   storage::FileSystem* fs = nullptr;
 };
 
-/// One shard of the demand-paged profile tier: a crash-safe WAL + snapshot
-/// store (PR 6 semantics: journal-before-apply, OK ⇒ fsynced, wedge on
-/// journal failure) that does NOT keep every graph in memory.
+/// One shard of the ProfileStore: a crash-safe WAL + snapshot store
+/// (journal-before-apply, OK ⇒ fsynced, wedge on journal failure) that
+/// does NOT keep every graph in memory. A shard built without a directory
+/// is the in-memory shard: no journal, nothing evicted, nothing paged in.
 ///
 /// The in-memory index maps every id to its version and a *disk ref* — the
 /// byte range of the profile text inside the snapshot or the journal. The
@@ -65,13 +65,17 @@ struct ShardOptions {
 /// version keys those caches embed stay monotonic per shard because the
 /// version counter persists in the shard's own snapshot/journal.
 ///
-/// Durability: fsync is inline per mutation (strongest PR 6 semantics —
-/// an error means NOT applied). A sharded tier gets its write concurrency
-/// from having N independent journals rather than from group commit.
+/// Durability: fsync is inline per mutation (an error means NOT
+/// applied). A store gets its write concurrency from having N independent
+/// journals rather than from group commit.
 ///
 /// Thread safety: all methods are thread-safe (one mutex per shard).
 class ProfileShard {
  public:
+  /// An in-memory shard when options.dir is empty; durable shards come
+  /// from Open(), which also recovers them.
+  ProfileShard(const storage::Database* db, size_t index, ShardOptions options);
+
   /// Opens (or creates) the shard in options.dir and indexes its state.
   /// A torn journal tail is recovered from; a corrupt snapshot is an error.
   static StatusOr<std::unique_ptr<ProfileShard>> Open(
@@ -108,15 +112,20 @@ class ProfileShard {
 
   bool wedged() const;
 
-  /// Paging + journal counters (ShardStats::shard is this shard's index).
+  /// Paging + journal counters.
   ShardStats stats() const;
 
   /// The full durable contents as (id, version, profile text), sorted by
   /// id — the oracle view used by tools/cqp_crashfuzz. Reads paged-out
-  /// values back from disk, hence fallible.
+  /// values back from disk, hence fallible; FailedPrecondition in memory.
   StatusOr<std::vector<storage::journal::SnapshotEntry>> Contents() const;
 
-  /// What recovery found at Open() time.
+  /// This shard's slice of the cache invalidation domain.
+  estimation::EvalCacheRegistry& caches() { return caches_; }
+  construct::PlanCache& plans() { return plans_; }
+
+ private:
+  /// What recovery found at Open() time (reported through stats()).
   struct RecoveryInfo {
     size_t snapshot_profiles = 0;  ///< ids indexed from the snapshot
     size_t replayed_records = 0;   ///< journal records applied to the index
@@ -125,14 +134,6 @@ class ProfileShard {
     uint64_t dropped_bytes = 0;
     double recovery_ms = 0.0;
   };
-  const RecoveryInfo& recovery() const { return recovery_; }
-
-  /// This shard's slice of the cache invalidation domain.
-  estimation::EvalCacheRegistry& caches() { return caches_; }
-  construct::PlanCache& plans() { return plans_; }
-
- private:
-  ProfileShard(const storage::Database* db, size_t index, ShardOptions options);
 
   /// Where a profile's text lives on disk.
   struct DiskRef {
@@ -154,6 +155,7 @@ class ProfileShard {
     std::list<std::string>::iterator lru_it;  ///< valid iff graph != null
   };
 
+  bool in_memory() const { return options_.dir.empty(); }
   std::string JournalPath() const { return options_.dir + "/journal"; }
   std::string SnapshotPath() const { return options_.dir + "/snapshot"; }
 
@@ -172,6 +174,10 @@ class ProfileShard {
       std::shared_ptr<const prefs::PersonalizationGraph> graph);
   /// Drops `entry`'s residency accounting if resident. Holds mu_.
   void DropResidencyLocked(Entry& entry);
+  /// Write-ahead: appends `payload` to the journal and fsyncs it, before
+  /// the caller touches the index; a failure wedges. Holds mu_; durable
+  /// shards only.
+  Status AppendLocked(const std::string& payload);
   /// The compaction body; caller holds mu_.
   Status CompactLocked();
   /// Latches the wedge; caller holds mu_.
@@ -188,7 +194,8 @@ class ProfileShard {
   std::map<std::string, Entry> entries_;       ///< guarded by mu_
   std::list<std::string> lru_;                 ///< cold → hot; guarded by mu_
   uint64_t next_version_ = 1;                  ///< guarded by mu_
-  std::unique_ptr<storage::journal::Writer> journal_;  ///< guarded by mu_
+  /// Null in memory; guarded by mu_.
+  std::unique_ptr<storage::journal::Writer> journal_;
   bool wedged_ = false;
   Status wedge_status_;
   /// Page-in vs compaction interlock: loaders pread the files compaction

@@ -19,7 +19,7 @@
 
 #include "common/crc32c.h"
 #include "common/failpoint.h"
-#include "server/durable_profile_store.h"
+#include "server/profile_store.h"
 #include "storage/journal/coding.h"
 #include "storage/journal/faulty_file.h"
 #include "storage/journal/file.h"
@@ -294,7 +294,7 @@ TEST(Snapshot, MissingIsNotFoundCorruptIsInternal) {
   EXPECT_EQ(ReadSnapshot(fs, path).status().code(), StatusCode::kInternal);
 }
 
-// -------------------------------------------- DurableProfileStore on disk
+// ------------------------------------------ a one-shard ProfileStore on disk
 
 class DurableStoreTest : public ::testing::Test {
  protected:
@@ -329,10 +329,15 @@ class DurableStoreTest : public ::testing::Test {
   }
   void TearDown() override { failpoint::Reset(); }
 
-  server::DurabilityOptions Options(const std::string& dir) {
-    server::DurabilityOptions options;
+  server::StoreOptions Options(const std::string& dir) {
+    server::StoreOptions options;
     options.dir = dir;
+    options.num_shards = 1;
     return options;
+  }
+
+  static server::JournalStats Journal(const server::ProfileStore& store) {
+    return store.stats().total.journal;
   }
 
   static storage::Database* db_;
@@ -346,21 +351,21 @@ TEST_F(DurableStoreTest, MutationsSurviveReopen) {
   TempDir dir;
   auto options = Options(dir.path());
   {
-    auto store = server::DurableProfileStore::Open(db_, options);
+    auto store = server::ProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE((*store)->Put("alice", (*profiles_)[0]).ok());
     ASSERT_TRUE((*store)->Put("bob", (*profiles_)[1]).ok());
     ASSERT_TRUE((*store)->Put("alice", (*profiles_)[2]).ok());  // replace
     ASSERT_TRUE((*store)->Remove("bob").ok());
   }
-  auto reopened = server::DurableProfileStore::Open(db_, options);
+  auto reopened = server::ProfileStore::Open(db_, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->Ids(), std::vector<std::string>{"alice"});
   // The replace won: version 3 (put, put, replace-put, remove consumed 4).
   EXPECT_EQ((*reopened)->FindSnapshot("alice").version, 3u);
   EXPECT_NE((*reopened)->Find("alice"), nullptr);
-  EXPECT_EQ((*reopened)->recovery().replayed_records, 4u);
-  EXPECT_FALSE((*reopened)->recovery().torn_tail);
+  EXPECT_EQ(Journal(**reopened).replayed_records, 4u);
+  EXPECT_FALSE(Journal(**reopened).torn_tail_recovered);
 }
 
 TEST_F(DurableStoreTest, VersionsStayMonotonicAcrossReopen) {
@@ -368,7 +373,7 @@ TEST_F(DurableStoreTest, VersionsStayMonotonicAcrossReopen) {
   auto options = Options(dir.path());
   uint64_t last = 0;
   {
-    auto store = server::DurableProfileStore::Open(db_, options);
+    auto store = server::ProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("a", (*profiles_)[0]).ok());
     ASSERT_TRUE((*store)->Remove("a").ok());  // removes consume versions too
@@ -380,20 +385,22 @@ TEST_F(DurableStoreTest, VersionsStayMonotonicAcrossReopen) {
   // version above everything that ever existed, or version-keyed caches
   // (EvalCacheRegistry, PlanCache) could alias pre-restart entries.
   for (int round = 0; round < 3; ++round) {
-    auto store = server::DurableProfileStore::Open(db_, options);
+    auto store = server::ProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("a", (*profiles_)[round % 3]).ok());
     uint64_t version = (*store)->FindSnapshot("a").version;
     EXPECT_GT(version, last);
     last = version;
-    if (round == 1) ASSERT_TRUE((*store)->Compact().ok());
+    if (round == 1) {
+      ASSERT_TRUE((*store)->Compact().ok());
+    }
   }
 }
 
 TEST_F(DurableStoreTest, CompactionPreservesContentsAndTruncatesJournal) {
   TempDir dir;
   auto options = Options(dir.path());
-  auto store = server::DurableProfileStore::Open(db_, options);
+  auto store = server::ProfileStore::Open(db_, options);
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
@@ -401,50 +408,49 @@ TEST_F(DurableStoreTest, CompactionPreservesContentsAndTruncatesJournal) {
   }
   ASSERT_TRUE((*store)->Remove("u2").ok());
   auto before = (*store)->Contents();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   ASSERT_TRUE((*store)->Compact().ok());
-  auto stats = (*store)->durability_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->compactions, 1u);
-  EXPECT_EQ(stats->journal_bytes, 0u);  // journal truncated
-  EXPECT_GT(stats->snapshot_bytes, 0u);
+  const server::JournalStats stats = Journal(**store);
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(stats.journal_bytes, 0u);  // journal truncated
+  EXPECT_GT(stats.snapshot_bytes, 0u);
 
   // Equivalence: compaction changes the representation, never the state —
   // neither live (post-compaction) nor recovered (reopen from snapshot).
+  auto expect_same = [&](const std::vector<SnapshotEntry>& got) {
+    ASSERT_EQ(got.size(), before->size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].key, (*before)[i].key);
+      EXPECT_EQ(got[i].version, (*before)[i].version);
+      EXPECT_EQ(got[i].value, (*before)[i].value);
+    }
+  };
   auto after = (*store)->Contents();
-  ASSERT_EQ(after.size(), before.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(after[i].key, before[i].key);
-    EXPECT_EQ(after[i].version, before[i].version);
-    EXPECT_EQ(after[i].value, before[i].value);
-  }
+  ASSERT_TRUE(after.ok());
+  expect_same(*after);
 
-  auto reopened = server::DurableProfileStore::Open(db_, options);
+  auto reopened = server::ProfileStore::Open(db_, options);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->recovery().snapshot_profiles, before.size());
-  EXPECT_EQ((*reopened)->recovery().replayed_records, 0u);
+  EXPECT_EQ(Journal(**reopened).recovered_profiles, before->size());
+  EXPECT_EQ(Journal(**reopened).replayed_records, 0u);  // all from snapshot
   auto recovered = (*reopened)->Contents();
-  ASSERT_EQ(recovered.size(), before.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(recovered[i].key, before[i].key);
-    EXPECT_EQ(recovered[i].version, before[i].version);
-    EXPECT_EQ(recovered[i].value, before[i].value);
-  }
+  ASSERT_TRUE(recovered.ok());
+  expect_same(*recovered);
 }
 
 TEST_F(DurableStoreTest, AutomaticCompactionTriggersOnThreshold) {
   TempDir dir;
   auto options = Options(dir.path());
   options.compact_threshold_bytes = 2000;
-  auto store = server::DurableProfileStore::Open(db_, options);
+  auto store = server::ProfileStore::Open(db_, options);
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE((*store)->Put("u", (*profiles_)[i % 3]).ok());
   }
-  auto stats = (*store)->durability_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->compactions, 0u);
-  EXPECT_LE(stats->journal_bytes, 2000u + 2048u);  // bounded, not unbounded
+  const server::JournalStats stats = Journal(**store);
+  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_LE(stats.journal_bytes, 2000u + 2048u);  // bounded, not unbounded
 }
 
 TEST_F(DurableStoreTest, FsyncFailureWedgesTheStoreUntilReopen) {
@@ -456,7 +462,7 @@ TEST_F(DurableStoreTest, FsyncFailureWedgesTheStoreUntilReopen) {
   FaultyFileSystem fs(PosixFileSystem());
   auto faulty_options = Options(faulty_dir.path());
   faulty_options.fs = &fs;
-  auto faulty = server::DurableProfileStore::Open(db_, faulty_options);
+  auto faulty = server::ProfileStore::Open(db_, faulty_options);
   ASSERT_TRUE(faulty.ok());
   ASSERT_TRUE((*faulty)->Put("a", (*profiles_)[0]).ok());
 
@@ -464,7 +470,7 @@ TEST_F(DurableStoreTest, FsyncFailureWedgesTheStoreUntilReopen) {
   Status failed = (*faulty)->Put("b", (*profiles_)[1]);
   EXPECT_FALSE(failed.ok());
   EXPECT_TRUE((*faulty)->wedged());
-  // Inline mode: an error means NOT applied — 'b' must not serve.
+  // An error means NOT applied — 'b' must not serve.
   EXPECT_EQ((*faulty)->Find("b"), nullptr);
   // Wedged = read-only: further writes fail fast, reads keep working.
   EXPECT_FALSE((*faulty)->Put("c", (*profiles_)[2]).ok());
@@ -476,63 +482,37 @@ TEST_F(DurableStoreTest, FsyncFailureWedgesTheStoreUntilReopen) {
   // way — same contract as a real torn fsync); what recovery must never do
   // is lose 'a' or corrupt anything.
   failpoint::Reset();
-  auto reopened = server::DurableProfileStore::Open(db_, faulty_options);
+  auto reopened = server::ProfileStore::Open(db_, faulty_options);
   ASSERT_TRUE(reopened.ok());
   EXPECT_FALSE((*reopened)->wedged());
   EXPECT_NE((*reopened)->Find("a"), nullptr);
   ASSERT_TRUE((*reopened)->Put("c", (*profiles_)[2]).ok());
 }
 
-TEST_F(DurableStoreTest, GroupCommitModeIsDurableToo) {
-  TempDir dir;
-  auto options = Options(dir.path());
-  options.group_commit_interval_ms = 0.2;
-  {
-    auto store = server::DurableProfileStore::Open(db_, options);
-    ASSERT_TRUE(store.ok());
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*store)->Put("u" + std::to_string(i), (*profiles_)[i % 3]).ok());
-    }
-    auto stats = (*store)->durability_stats();
-    ASSERT_TRUE(stats.has_value());
-    // Group commit exists to amortize fsync: strictly fewer syncs than
-    // sequential inline mode would have issued is the whole point, but a
-    // single-threaded writer may still sync once per op — just assert the
-    // accounting is sane.
-    EXPECT_GE(stats->fsyncs, 1u);
-    EXPECT_EQ(stats->appends, 10u);
-  }
-  auto reopened = server::DurableProfileStore::Open(db_, options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->Ids().size(), 10u);
-}
-
 TEST_F(DurableStoreTest, TornJournalTailRecoversToAcknowledgedPrefix) {
   TempDir dir;
   auto options = Options(dir.path());
   {
-    auto store = server::DurableProfileStore::Open(db_, options);
+    auto store = server::ProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("keep", (*profiles_)[0]).ok());
     ASSERT_TRUE((*store)->Put("torn", (*profiles_)[1]).ok());
   }
   // Tear the last record on disk, as a crash mid-append would.
   FileSystem& fs = PosixFileSystem();
-  const std::string journal = dir.path() + "/journal";
+  const std::string journal = dir.path() + "/" +
+                              server::ProfileStore::ShardDirName(0) +
+                              "/journal";
   auto size = fs.FileSize(journal);
   ASSERT_TRUE(size.ok());
   ASSERT_TRUE(fs.Truncate(journal, *size - 5).ok());
 
-  auto reopened = server::DurableProfileStore::Open(db_, options);
+  auto reopened = server::ProfileStore::Open(db_, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_TRUE((*reopened)->recovery().torn_tail);
-  EXPECT_GT((*reopened)->recovery().dropped_bytes, 0u);
+  // The stats surface the recovery.
+  EXPECT_TRUE(Journal(**reopened).torn_tail_recovered);
+  EXPECT_GT(Journal(**reopened).dropped_bytes, 0u);
   EXPECT_EQ((*reopened)->Ids(), std::vector<std::string>{"keep"});
-  // And the durability stats surface the recovery.
-  auto stats = (*reopened)->durability_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_TRUE(stats->torn_tail_recovered);
 }
 
 }  // namespace

@@ -184,19 +184,19 @@ TEST(ProfileStorePlans, PutInvalidatesThatProfilesPlans) {
   auto profile = *prefs::Profile::Parse("doi(MOVIE.year >= 1970) = 0.6");
   ASSERT_TRUE(store.Put("u", profile).ok());
 
-  store.plans().Insert(MakeKey(7, "u", store.FindSnapshot("u").version),
+  store.plans_for("u").Insert(MakeKey(7, "u", store.FindSnapshot("u").version),
                        EmptyPrepared());
-  store.plans().Insert(MakeKey(7, "other"), EmptyPrepared());
-  ASSERT_EQ(store.plans().size(), 2u);
+  store.plans_for("u").Insert(MakeKey(7, "other"), EmptyPrepared());
+  ASSERT_EQ(store.plans_for("u").size(), 2u);
 
   // Hot reload of "u": its plans vanish, other profiles' plans survive.
   ASSERT_TRUE(store.Put("u", profile).ok());
-  EXPECT_EQ(store.plans().size(), 1u);
-  EXPECT_NE(store.plans().Find(MakeKey(7, "other")), nullptr);
+  EXPECT_EQ(store.plans_for("u").size(), 1u);
+  EXPECT_NE(store.plans_for("u").Find(MakeKey(7, "other")), nullptr);
 
   ASSERT_TRUE(store.Remove("u").ok());
   // Remove sweeps again (nothing left for "u" — counters still move).
-  EXPECT_EQ(store.plans().size(), 1u);
+  EXPECT_EQ(store.plans_for("u").size(), 1u);
 }
 
 // ---------- the prepared pipeline end to end ----------

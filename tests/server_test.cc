@@ -29,7 +29,6 @@
 #include "server/profile_store.h"
 #include "server/server.h"
 #include "server/server_stats.h"
-#include "server/shard/sharded_profile_store.h"
 #include "test_util.h"
 
 namespace cqp::server {
@@ -122,6 +121,16 @@ TEST_F(ServerTest, PingStatsAndProfiles) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_TRUE(snapshot->extra.Find("requests")->is_number());
   EXPECT_TRUE(snapshot->extra.Find("admission")->Find("pending")->is_number());
+  // The in-memory store reports the store objects too, journal zeroed.
+  const JsonValue* journal = snapshot->extra.Find("journal");
+  ASSERT_NE(journal, nullptr);
+  EXPECT_EQ(journal->Find("fsyncs")->number_value(), 0.0);
+  EXPECT_EQ(journal->Find("group_commits")->number_value(), 0.0);
+  const JsonValue* tier = snapshot->extra.Find("shard_tier");
+  ASSERT_NE(tier, nullptr);
+  EXPECT_EQ(tier->Find("shards")->number_value(), 1.0);
+  EXPECT_EQ(tier->Find("profiles")->number_value(), 1.0);
+  EXPECT_EQ(tier->Find("page_ins")->number_value(), 0.0);
 }
 
 TEST_F(ServerTest, ResponsesAreBitIdenticalToDirectPersonalize) {
@@ -191,11 +200,11 @@ TEST_F(ServerTest, ShardedTierServesIdenticalAnswersAndShardStats) {
       (stdfs::path(::testing::TempDir()) / "cqp_server_test_shards").string();
   std::error_code ec;
   stdfs::remove_all(dir, ec);
-  shard::ShardedStoreOptions options;
+  StoreOptions options;
   options.dir = dir;
   options.num_shards = 3;
   options.resident_budget_bytes = 1;
-  auto store = shard::ShardedProfileStore::Open(&db_, options);
+  auto store = ProfileStore::Open(&db_, options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   std::vector<std::string> ids = {"default", "user0", "user1", "user2"};
   for (const std::string& id : ids) {

@@ -1,8 +1,8 @@
-// Tests of the sharded, demand-paged profile tier (src/server/shard/):
-// paging LRU behavior under byte pressure, single-flight page-ins,
-// pinning, eviction racing hot-reloads, hash routing + MANIFEST guards,
-// per-shard cache slices, and migration from a PR 6 single-directory
-// store.
+// Tests of the profile store and its shards (src/server/profile_store.*,
+// src/server/shard/): paging LRU behavior under byte pressure,
+// single-flight page-ins, pinning, eviction racing hot-reloads, hash
+// routing + MANIFEST guards, per-shard cache slices, the in-memory shard,
+// and migration from a single-directory store.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,11 +15,12 @@
 #include <vector>
 
 #include "common/status.h"
-#include "server/durable_profile_store.h"
+#include "server/profile_journal_codec.h"
 #include "server/profile_store.h"
 #include "server/shard/profile_shard.h"
-#include "server/shard/sharded_profile_store.h"
 #include "storage/database.h"
+#include "storage/journal/journal.h"
+#include "storage/journal/snapshot.h"
 #include "workload/movie_gen.h"
 #include "workload/profile_gen.h"
 
@@ -276,17 +277,17 @@ TEST_F(ShardTest, EvictionRacingHotReload) {
   EXPECT_EQ((*reopened)->Find("w1").version, v1);
 }
 
-// --------------------------------------------------- ShardedProfileStore
+// ------------------------------------------------------------ ProfileStore
 
 TEST_F(ShardTest, RoutingIsStableAndCoversShards) {
   // The hash is pinned (FNV-1a): a layout written today must route the
   // same in every future process.
-  EXPECT_EQ(ShardedProfileStore::ShardIndexForId("alice", 4),
-            ShardedProfileStore::ShardIndexForId("alice", 4));
-  EXPECT_EQ(ShardedProfileStore::ShardDirName(7), "shard-007");
+  EXPECT_EQ(ProfileStore::ShardIndexForId("alice", 4),
+            ProfileStore::ShardIndexForId("alice", 4));
+  EXPECT_EQ(ProfileStore::ShardDirName(7), "shard-007");
   std::vector<bool> seen(4, false);
   for (int i = 0; i < 64; ++i) {
-    seen[ShardedProfileStore::ShardIndexForId("u" + std::to_string(i), 4)] =
+    seen[ProfileStore::ShardIndexForId("u" + std::to_string(i), 4)] =
         true;
   }
   for (bool shard_seen : seen) EXPECT_TRUE(shard_seen);
@@ -294,13 +295,13 @@ TEST_F(ShardTest, RoutingIsStableAndCoversShards) {
 
 TEST_F(ShardTest, ShardedRoundtripReopenAndStats) {
   TempDir dir;
-  ShardedStoreOptions options;
+  StoreOptions options;
   options.dir = dir.path();
   options.num_shards = 3;
   std::vector<std::string> ids;
   for (int i = 0; i < 12; ++i) ids.push_back("user" + std::to_string(i));
   {
-    auto store = ShardedProfileStore::Open(db_, options);
+    auto store = ProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t i = 0; i < ids.size(); ++i) {
       ASSERT_TRUE((*store)->Put(ids[i], (*profiles_)[i % 4]).ok());
@@ -308,9 +309,9 @@ TEST_F(ShardTest, ShardedRoundtripReopenAndStats) {
     ASSERT_TRUE((*store)->Remove(ids.back()).ok());
     EXPECT_EQ((*store)->size(), ids.size() - 1);
   }
-  auto reopened = ShardedProfileStore::Open(db_, options);
+  auto reopened = ProfileStore::Open(db_, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ShardedProfileStore& store = **reopened;
+  ProfileStore& store = **reopened;
   EXPECT_EQ(store.size(), ids.size() - 1);
   std::vector<std::string> expected(ids.begin(), ids.end() - 1);
   std::sort(expected.begin(), expected.end());
@@ -319,38 +320,36 @@ TEST_F(ShardTest, ShardedRoundtripReopenAndStats) {
     ProfileStore::Snapshot found = store.FindSnapshot(id);
     ASSERT_NE(found.graph, nullptr) << id;
     // Every id lives on the shard the public router predicts.
-    size_t shard = ShardedProfileStore::ShardIndexForId(id, 3);
+    size_t shard = ProfileStore::ShardIndexForId(id, 3);
     EXPECT_NE(store.shard(shard).Find(id).graph, nullptr);
   }
-  auto tier = store.shard_stats();
-  ASSERT_TRUE(tier.has_value());
-  EXPECT_EQ(tier->shards, 3u);
-  EXPECT_EQ(tier->profiles, ids.size() - 1);
-  EXPECT_EQ(tier->page_ins, ids.size() - 1);
-  ASSERT_EQ(tier->per_shard.size(), 3u);
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.total.profiles, ids.size() - 1);
+  EXPECT_EQ(stats.total.page_ins, ids.size() - 1);
+  ASSERT_EQ(stats.per_shard.size(), 3u);
   size_t summed = 0;
-  for (const ShardStats& s : tier->per_shard) summed += s.profiles;
-  EXPECT_EQ(summed, tier->profiles);
+  for (const ShardStats& s : stats.per_shard) summed += s.profiles;
+  EXPECT_EQ(summed, stats.total.profiles);
 }
 
 TEST_F(ShardTest, ManifestRejectsShardCountMismatch) {
   TempDir dir;
-  ShardedStoreOptions options;
+  StoreOptions options;
   options.dir = dir.path();
   options.num_shards = 3;
   {
-    auto store = ShardedProfileStore::Open(db_, options);
+    auto store = ProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("alice", (*profiles_)[0]).ok());
   }
   // A different count must be a hard error — the hash routing would send
   // "alice" to the wrong shard.
   options.num_shards = 2;
-  auto mismatched = ShardedProfileStore::Open(db_, options);
+  auto mismatched = ProfileStore::Open(db_, options);
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
   // 0 adopts whatever the MANIFEST says.
   options.num_shards = 0;
-  auto adopted = ShardedProfileStore::Open(db_, options);
+  auto adopted = ProfileStore::Open(db_, options);
   ASSERT_TRUE(adopted.ok());
   EXPECT_EQ((*adopted)->num_shards(), 3u);
   EXPECT_NE((*adopted)->FindSnapshot("alice").graph, nullptr);
@@ -358,10 +357,10 @@ TEST_F(ShardTest, ManifestRejectsShardCountMismatch) {
 
 TEST_F(ShardTest, CacheSlicesFollowTheRouting) {
   TempDir dir;
-  ShardedStoreOptions options;
+  StoreOptions options;
   options.dir = dir.path();
   options.num_shards = 4;
-  auto store = ShardedProfileStore::Open(db_, options);
+  auto store = ProfileStore::Open(db_, options);
   ASSERT_TRUE(store.ok());
 
   // Find two ids that live on different shards.
@@ -369,8 +368,8 @@ TEST_F(ShardTest, CacheSlicesFollowTheRouting) {
   std::string b;
   for (int i = 0; i < 64 && b.empty(); ++i) {
     std::string candidate = "b" + std::to_string(i);
-    if (ShardedProfileStore::ShardIndexForId(candidate, 4) !=
-        ShardedProfileStore::ShardIndexForId(a, 4)) {
+    if (ProfileStore::ShardIndexForId(candidate, 4) !=
+        ProfileStore::ShardIndexForId(a, 4)) {
       b = candidate;
     }
   }
@@ -384,52 +383,67 @@ TEST_F(ShardTest, CacheSlicesFollowTheRouting) {
 
 TEST_F(ShardTest, VersionsStayMonotonicPerShardAcrossReopen) {
   TempDir dir;
-  ShardedStoreOptions options;
+  StoreOptions options;
   options.dir = dir.path();
   options.num_shards = 2;
   uint64_t last = 0;
   {
-    auto store = ShardedProfileStore::Open(db_, options);
+    auto store = ProfileStore::Open(db_, options);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Put("alice", (*profiles_)[0]).ok());
     ASSERT_TRUE((*store)->Put("alice", (*profiles_)[1]).ok());
     last = (*store)->FindSnapshot("alice").version;
     EXPECT_EQ(last, 2u);
   }
-  auto reopened = ShardedProfileStore::Open(db_, options);
+  auto reopened = ProfileStore::Open(db_, options);
   ASSERT_TRUE(reopened.ok());
   ASSERT_TRUE((*reopened)->Put("alice", (*profiles_)[2]).ok());
   EXPECT_GT((*reopened)->FindSnapshot("alice").version, last);
 }
 
+/// Lays down a single-directory store: `journal` and `snapshot` at the
+/// root, no MANIFEST. State: alice v1 (snapshot), then bob put v2 and
+/// removed v3 (journal).
+void WriteSingleDirectoryStore(const std::string& dir,
+                               const std::vector<prefs::Profile>& profiles) {
+  storage::FileSystem& fs = storage::PosixFileSystem();
+  std::filesystem::create_directories(dir);
+  storage::journal::SnapshotData data;
+  data.next_version = 2;
+  data.entries.push_back(
+      storage::journal::SnapshotEntry{"alice", 1, profiles[0].ToText()});
+  ASSERT_TRUE(
+      storage::journal::WriteSnapshot(fs, dir + "/snapshot", data).ok());
+  auto journal = storage::journal::Writer::Open(fs, dir + "/journal");
+  ASSERT_TRUE(journal.ok());
+  ASSERT_TRUE((*journal)
+                  ->Append(EncodeProfileMutation(kJournalOpPut, 2, "bob",
+                                                 profiles[1].ToText()))
+                  .ok());
+  ASSERT_TRUE(
+      (*journal)
+          ->Append(EncodeProfileMutation(kJournalOpRemove, 3, "bob", ""))
+          .ok());
+  ASSERT_TRUE((*journal)->Sync().ok());
+  ASSERT_TRUE((*journal)->Close().ok());
+}
+
 TEST_F(ShardTest, SingleShardAdoptsAPr6Directory) {
-  // The documented migration: a PR 6 DurableProfileStore directory becomes
-  // shard-000 of a 1-shard tier (same journal + snapshot formats).
+  // The documented migration: a single-directory store becomes shard-000
+  // of a 1-shard store (same journal + snapshot formats).
   TempDir dir;
   const std::string old_dir = dir.path() + "/old";
-  {
-    DurabilityOptions options;
-    options.dir = old_dir;
-    auto store = DurableProfileStore::Open(db_, options);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("alice", (*profiles_)[0]).ok());
-    ASSERT_TRUE((*store)->Put("bob", (*profiles_)[1]).ok());
-    ASSERT_TRUE((*store)->Remove("bob").ok());
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(WriteSingleDirectoryStore(old_dir, *profiles_));
   const std::string tier_dir = dir.path() + "/tier";
-  const std::string shard_dir =
-      tier_dir + "/" + ShardedProfileStore::ShardDirName(0);
+  const std::string shard_dir = tier_dir + "/" + ProfileStore::ShardDirName(0);
   std::filesystem::create_directories(shard_dir);
   for (const char* file : {"journal", "snapshot"}) {
-    if (std::filesystem::exists(old_dir + "/" + file)) {
-      std::filesystem::rename(old_dir + "/" + file, shard_dir + "/" + file);
-    }
+    std::filesystem::rename(old_dir + "/" + file, shard_dir + "/" + file);
   }
-  ShardedStoreOptions options;
+  StoreOptions options;
   options.dir = tier_dir;
   options.num_shards = 1;
-  auto store = ShardedProfileStore::Open(db_, options);
+  auto store = ProfileStore::Open(db_, options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_EQ((*store)->size(), 1u);
   ProfileStore::Snapshot found = (*store)->FindSnapshot("alice");
@@ -438,6 +452,62 @@ TEST_F(ShardTest, SingleShardAdoptsAPr6Directory) {
   // New mutations keep versioning above the migrated history.
   ASSERT_TRUE((*store)->Put("carol", (*profiles_)[2]).ok());
   EXPECT_EQ((*store)->FindSnapshot("carol").version, 4u);
+}
+
+TEST_F(ShardTest, OpenRefusesAnUnmigratedSingleDirectory) {
+  // Opening a single-directory store as a fresh tier would serve zero
+  // profiles; it must fail and name the migration instead — with or
+  // without an explicit shard count — and leave the directory untouched.
+  TempDir dir;
+  ASSERT_NO_FATAL_FAILURE(WriteSingleDirectoryStore(dir.path(), *profiles_));
+  for (size_t shards : {0u, 1u}) {
+    StoreOptions options;
+    options.dir = dir.path();
+    options.num_shards = shards;
+    auto store = ProfileStore::Open(db_, options);
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(store.status().message().find(
+                  "mkdir shard-000 && mv journal snapshot shard-000/"),
+              std::string::npos)
+        << store.status().ToString();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/MANIFEST"));
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/shard-000"));
+}
+
+TEST_F(ShardTest, InMemoryStoreIsOneUnboundedShard) {
+  ProfileStore store(db_);
+  EXPECT_EQ(store.num_shards(), 1u);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(store.Put("u" + std::to_string(i), (*profiles_)[i]).ok());
+  }
+  ASSERT_TRUE(store.Remove("u3").ok());
+  EXPECT_EQ(store.Remove("u3").code(), StatusCode::kNotFound);
+  ASSERT_TRUE(store.Put("u3", (*profiles_)[0]).ok());
+  EXPECT_EQ(store.FindSnapshot("u3").version, 6u);  // the remove took v5
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_NE(store.Find("u" + std::to_string(i)), nullptr);
+  }
+  EXPECT_EQ(store.Find("nobody"), nullptr);
+  EXPECT_TRUE(store.Flush().ok());
+  EXPECT_TRUE(store.Compact().ok());
+  EXPECT_EQ(store.Contents().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(store.wedged());
+
+  // Everything stays resident and nothing touches a journal.
+  const StoreStats stats = store.stats();
+  ASSERT_EQ(stats.per_shard.size(), 1u);
+  EXPECT_EQ(stats.total.profiles, 4u);
+  EXPECT_EQ(stats.total.resident_profiles, 4u);
+  EXPECT_EQ(stats.total.resident_budget_bytes, 0u);
+  EXPECT_EQ(stats.total.hits, 5u);
+  EXPECT_EQ(stats.total.misses, 1u);
+  EXPECT_EQ(stats.total.page_ins, 0u);
+  EXPECT_EQ(stats.total.evictions, 0u);
+  EXPECT_EQ(stats.total.journal.appends, 0u);
+  EXPECT_EQ(stats.total.journal.fsyncs, 0u);
+  EXPECT_EQ(stats.total.journal.compactions, 0u);
 }
 
 TEST_F(ShardTest, CompactionPreservesPagedOutProfiles) {

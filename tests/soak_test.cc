@@ -27,7 +27,6 @@
 #include "server/profile_store.h"
 #include "server/protocol.h"
 #include "server/server.h"
-#include "server/shard/sharded_profile_store.h"
 #include "test_util.h"
 
 namespace cqp::server {
@@ -100,7 +99,7 @@ class SoakTest : public ::testing::Test {
   }
 
   storage::Database db_;
-  std::unique_ptr<shard::ShardedProfileStore> profiles_;
+  std::unique_ptr<ProfileStore> profiles_;
   std::unique_ptr<Server> server_;
   std::vector<SoakConn> conns_;
 };
@@ -108,11 +107,11 @@ class SoakTest : public ::testing::Test {
 TEST_F(SoakTest, ThousandConnectionsMixedHotColdZeroLostZeroDup) {
   // --- the paged-out tier: a budget far below 64 resident graphs.
   TempDir dir;
-  shard::ShardedStoreOptions store_options;
+  StoreOptions store_options;
   store_options.dir = dir.path();
   store_options.num_shards = 4;
   store_options.resident_budget_bytes = 64 << 10;  // forces eviction churn
-  auto opened = shard::ShardedProfileStore::Open(&db_, store_options);
+  auto opened = ProfileStore::Open(&db_, store_options);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   profiles_ = *std::move(opened);
 
@@ -277,10 +276,9 @@ TEST_F(SoakTest, ThousandConnectionsMixedHotColdZeroLostZeroDup) {
   EXPECT_GE(personalize_ok, 1u);
 
   // The cold set really did churn through the paging tier.
-  auto tier = profiles_->shard_stats();
-  ASSERT_TRUE(tier.has_value());
-  EXPECT_GE(tier->page_ins, 1u);
-  EXPECT_GE(tier->evictions, 1u);
+  const ShardStats tier = profiles_->stats().total;
+  EXPECT_GE(tier.page_ins, 1u);
+  EXPECT_GE(tier.evictions, 1u);
 }
 
 }  // namespace

@@ -4,35 +4,32 @@
 //   $ cqp_crashfuzz --campaigns 1000 --seed 7
 //   1000 campaigns: 612 crashes, 389 torn tails recovered, ... OK
 //
-// Each campaign runs a seeded random Put/Remove workload against a
-// DurableProfileStore on a FaultyFileSystem, kills the store at a random
-// byte offset (or with probabilistic failpoint faults: torn appends,
-// ENOSPC, fsync failures, rename failures, split writes), then reopens the
-// directory and checks the recovered state against a shadow in-memory
-// oracle — the same differential pattern as src/testing, aimed at the
-// durability layer.
+// Each campaign runs a seeded random Put/Remove/Find workload against a
+// 1–4-shard ProfileStore on a FaultyFileSystem, kills the store at a
+// random byte offset (or with probabilistic failpoint faults: torn
+// appends, ENOSPC, fsync failures, rename failures, split writes), then
+// reopens the directory and checks the recovered state against a shadow
+// in-memory oracle — the same differential pattern as src/testing, aimed
+// at the durability layer. Most campaigns run under a tiny resident
+// budget, so paging and eviction happen inside the workload, and the
+// interleaved Find()s are checked against the oracle too.
 //
 // The acknowledgement rule under test: if Put/Remove returned OK, the
 // mutation MUST survive the crash; the one mutation in flight when the
 // fault hit MAY be present (its record reached the disk) or absent (torn),
-// but nothing else may change and nothing acknowledged may be lost. With a
-// single-threaded workload the recovered state must therefore equal the
-// oracle either before or after the failed operation — any other state is
-// data loss or corruption and fails the campaign.
+// but nothing else may change and nothing acknowledged may be lost. A
+// crash lands mid-write on ONE shard, so every other shard must hold
+// exactly its acknowledged state: with a single-threaded workload the
+// recovered state must equal the oracle either before or after the failed
+// operation — any other state is data loss or corruption and fails the
+// campaign.
 //
 // Recovery is also re-run a second time per campaign (recovery must be
 // idempotent: recovering a recovered directory changes nothing), and a
 // post-recovery Put must succeed with a version above everything
-// recovered (persisted snapshot-version monotonicity — the property that
-// keeps version-keyed caches coherent across restarts).
-//
-// --sharded runs the same differential campaigns against the sharded,
-// demand-paged tier (ShardedProfileStore) instead: 1–4 shards over one
-// FaultyFileSystem, a tiny resident budget so paging/eviction runs inside
-// the workload, and interleaved Find()s checked against the oracle. A
-// crash lands mid-write on ONE shard; recovery must keep every other
-// shard's acknowledged state intact (shard independence), and version
-// monotonicity is checked per shard — each shard owns its own counter.
+// recovered on its shard (per-shard version monotonicity — the property
+// that keeps version-keyed caches coherent across restarts). One shard
+// covers the layout of a migrated single-directory store.
 
 #include <cstdio>
 #include <cstdlib>
@@ -46,8 +43,7 @@
 
 #include "common/failpoint.h"
 #include "common/status.h"
-#include "server/durable_profile_store.h"
-#include "server/shard/sharded_profile_store.h"
+#include "server/profile_store.h"
 #include "storage/journal/faulty_file.h"
 #include "storage/journal/file.h"
 #include "workload/movie_gen.h"
@@ -56,9 +52,8 @@
 namespace {
 
 using cqp::Status;
-using cqp::StatusOr;
-using cqp::server::DurabilityOptions;
-using cqp::server::DurableProfileStore;
+using cqp::server::ProfileStore;
+using cqp::server::StoreOptions;
 using cqp::storage::FaultyFileSystem;
 
 /// splitmix64: cheap deterministic per-campaign randomness.
@@ -73,26 +68,6 @@ struct Flags {
   uint64_t campaigns = 1000;
   uint64_t seed = 1;
   bool verbose = false;
-  bool sharded = false;  ///< fuzz ShardedProfileStore instead
-};
-
-/// The shadow oracle: id → (version, profile text), plus the version
-/// counter the store should be at. Mirrors exactly what an OK Put/Remove
-/// promises to persist.
-struct Oracle {
-  std::map<std::string, std::pair<uint64_t, std::string>> entries;
-  uint64_t next_version = 1;
-
-  void Put(const std::string& id, const std::string& text) {
-    entries[id] = {next_version++, text};
-  }
-  void Remove(const std::string& id) {
-    entries.erase(id);
-    ++next_version;
-  }
-  bool operator==(const Oracle& other) const {
-    return entries == other.entries;
-  }
 };
 
 using EntryMap = std::map<std::string, std::pair<uint64_t, std::string>>;
@@ -105,26 +80,14 @@ std::string DescribeEntries(const EntryMap& entries) {
   return out + "}";
 }
 
-std::string Describe(const Oracle& oracle) {
-  return DescribeEntries(oracle.entries);
-}
-
-Oracle RecoveredState(const DurableProfileStore& store) {
-  Oracle state;
-  for (const auto& entry : store.Contents()) {
-    state.entries[entry.key] = {entry.version, entry.value};
-  }
-  return state;
-}
-
 struct CampaignTally {
   uint64_t crashes = 0;
   uint64_t wedges = 0;
   uint64_t torn_tails = 0;
   uint64_t compactions = 0;
   uint64_t records_replayed = 0;
-  uint64_t page_ins = 0;    ///< sharded mode only
-  uint64_t evictions = 0;   ///< sharded mode only
+  uint64_t page_ins = 0;
+  uint64_t evictions = 0;
   uint64_t failures = 0;
 };
 
@@ -135,215 +98,16 @@ struct PoolEntry {
   std::string text;
 };
 
-bool RunCampaign(uint64_t campaign, const Flags& flags,
-                 const cqp::storage::Database& db,
-                 const std::vector<PoolEntry>& pool,
-                 const std::string& base_dir, uint64_t calibrated_bytes,
-                 CampaignTally* tally) {
-  uint64_t rng = flags.seed * 0x100000001b3ull + campaign * 2654435761ull;
-  const std::string dir =
-      base_dir + "/campaign" + std::to_string(campaign);
-
-  FaultyFileSystem fs(cqp::storage::PosixFileSystem());
-  DurabilityOptions options;
-  options.dir = dir;
-  options.fs = &fs;
-  // Even campaigns fsync inline; odd campaigns group-commit with a short
-  // window so the flusher thread and commit tokens are in play.
-  options.group_commit_interval_ms = (campaign % 2 == 0) ? 0.0 : 0.2;
-  // Small threshold: compaction (snapshot write + journal swap) happens
-  // mid-workload, so crashes land inside it too.
-  options.compact_threshold_bytes = 1500 + Mix(rng) % 6000;
-
-  // Fault schedule: mostly crash-at-offset, some failpoint-driven partial
-  // failures, and a few clean (sanity) runs.
-  const uint64_t mode = Mix(rng) % 10;
-  bool armed_crash = false;
-  if (mode < 6) {
-    fs.CrashAfterBytes(1 + Mix(rng) % (calibrated_bytes +
-                                       calibrated_bytes / 4 + 1));
-    armed_crash = true;
-  } else if (mode < 9) {
-    uint64_t fp_seed = Mix(rng);
-    std::string spec =
-        "storage.file.append.torn=0.03:" + std::to_string(fp_seed) +
-        ",storage.file.append.enospc=0.02:" + std::to_string(fp_seed + 1) +
-        ",storage.file.sync.fail=0.03:" + std::to_string(fp_seed + 2) +
-        ",storage.file.rename.fail=0.05:" + std::to_string(fp_seed + 3) +
-        ",storage.file.append.split=0.20:" + std::to_string(fp_seed + 4);
-    Status configured = cqp::failpoint::Configure(spec);
-    if (!configured.ok()) {
-      std::fprintf(stderr, "campaign %llu: bad failpoint spec: %s\n",
-                   static_cast<unsigned long long>(campaign),
-                   configured.ToString().c_str());
-      return false;
-    }
-  }  // else: clean run
-
-  Oracle oracle;
-  Oracle after_failed_op;  ///< oracle with the failed op applied anyway
-  bool fault_hit = false;
-
-  {
-    auto opened = DurableProfileStore::Open(&db, options);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "campaign %llu: fresh open failed: %s\n",
-                   static_cast<unsigned long long>(campaign),
-                   opened.status().ToString().c_str());
-      cqp::failpoint::Reset();
-      return false;
-    }
-    DurableProfileStore& store = **opened;
-
-    const uint64_t n_ops = 10 + Mix(rng) % 40;
-    for (uint64_t op = 0; op < n_ops; ++op) {
-      const std::string id = "u" + std::to_string(Mix(rng) % 4);
-      Status result;
-      after_failed_op = oracle;
-      if (Mix(rng) % 10 < 7) {
-        const PoolEntry& entry = pool[Mix(rng) % pool.size()];
-        after_failed_op.Put(id, entry.text);
-        result = store.Put(id, entry.profile);
-        if (result.ok()) oracle.Put(id, entry.text);
-      } else {
-        after_failed_op.Remove(id);
-        result = store.Remove(id);
-        if (result.ok()) oracle.Remove(id);
-      }
-      if (result.ok()) continue;
-      if (result.code() == cqp::StatusCode::kNotFound) continue;  // no-op
-      // A fault (injected or crash) ended the workload: exactly one
-      // operation is in limbo.
-      fault_hit = true;
-      break;
-    }
-    if (!fault_hit) after_failed_op = oracle;
-
-    if (store.wedged()) ++tally->wedges;
-    if (auto stats = store.durability_stats()) {
-      tally->compactions += stats->compactions;
-    }
-    // The store is destroyed here — as after a kill, nothing more is
-    // written (the filesystem refuses everything once crashed anyway).
-  }
-  if (fs.crashed()) ++tally->crashes;
-
-  // ---- "Reboot": clear the fault machinery and recover. ----
-  cqp::failpoint::Reset();
-  fs.ClearCrash();
-
-  auto reopened = DurableProfileStore::Open(&db, options);
-  if (!reopened.ok()) {
-    std::fprintf(stderr,
-                 "campaign %llu: FAIL — recovery refused to start: %s\n",
-                 static_cast<unsigned long long>(campaign),
-                 reopened.status().ToString().c_str());
-    return false;
-  }
-  DurableProfileStore& recovered = **reopened;
-  if (recovered.recovery().torn_tail) ++tally->torn_tails;
-  tally->records_replayed += recovered.recovery().replayed_records;
-
-  Oracle state = RecoveredState(recovered);
-  const bool matches_acked = state == oracle;
-  const bool matches_next = state == after_failed_op;
-  if (!matches_acked && !matches_next) {
-    std::fprintf(
-        stderr,
-        "campaign %llu: FAIL — recovered state matches neither oracle\n"
-        "  acked:     %s\n  with-last: %s\n  recovered: %s\n  dir: %s\n",
-        static_cast<unsigned long long>(campaign), Describe(oracle).c_str(),
-        Describe(after_failed_op).c_str(), Describe(state).c_str(),
-        dir.c_str());
-    return false;  // keep the directory for post-mortem
-  }
-
-  // Version monotonicity across the restart: a fresh Put must land above
-  // everything recovered, or version-keyed caches could alias pre-crash
-  // state.
-  uint64_t max_recovered = 0;
-  for (const auto& [id, entry] : state.entries) {
-    max_recovered = std::max(max_recovered, entry.first);
-  }
-  Status final_put = recovered.Put("post", pool[0].profile);
-  if (!final_put.ok()) {
-    std::fprintf(stderr,
-                 "campaign %llu: FAIL — post-recovery Put failed: %s\n",
-                 static_cast<unsigned long long>(campaign),
-                 final_put.ToString().c_str());
-    return false;
-  }
-  uint64_t post_version = recovered.FindSnapshot("post").version;
-  if (post_version <= max_recovered) {
-    std::fprintf(stderr,
-                 "campaign %llu: FAIL — post-recovery version %llu not "
-                 "above recovered max %llu\n",
-                 static_cast<unsigned long long>(campaign),
-                 static_cast<unsigned long long>(post_version),
-                 static_cast<unsigned long long>(max_recovered));
-    return false;
-  }
-
-  // Recovery idempotence: reopening the (now clean) directory again must
-  // reproduce the exact same state, torn-tail-free.
-  Oracle expected_second = state;
-  expected_second.entries["post"] = {post_version, pool[0].text};
-  {
-    auto third = DurableProfileStore::Open(&db, options);
-    if (!third.ok()) {
-      std::fprintf(stderr,
-                   "campaign %llu: FAIL — second recovery failed: %s\n",
-                   static_cast<unsigned long long>(campaign),
-                   third.status().ToString().c_str());
-      return false;
-    }
-    if ((*third)->recovery().torn_tail) {
-      std::fprintf(stderr,
-                   "campaign %llu: FAIL — second recovery still sees a "
-                   "torn tail (truncation did not stick)\n",
-                   static_cast<unsigned long long>(campaign));
-      return false;
-    }
-    Oracle second_state = RecoveredState(**third);
-    if (!(second_state == expected_second)) {
-      std::fprintf(stderr,
-                   "campaign %llu: FAIL — recovery not idempotent\n"
-                   "  first+put: %s\n  second:    %s\n",
-                   static_cast<unsigned long long>(campaign),
-                   Describe(expected_second).c_str(),
-                   Describe(second_state).c_str());
-      return false;
-    }
-  }
-
-  if (flags.verbose) {
-    std::fprintf(stderr,
-                 "campaign %llu ok: mode=%s fault=%d crash=%d torn=%d "
-                 "replayed=%zu\n",
-                 static_cast<unsigned long long>(campaign),
-                 mode < 6 ? "crash" : (mode < 9 ? "failpoints" : "clean"),
-                 fault_hit ? 1 : 0, fs.crashed() ? 1 : 0,
-                 recovered.recovery().torn_tail ? 1 : 0,
-                 recovered.recovery().replayed_records);
-  }
-  (void)armed_crash;
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return true;
-}
-
-using cqp::server::shard::ShardedProfileStore;
-using cqp::server::shard::ShardedStoreOptions;
-
-/// Oracle for the sharded tier. Versions are PER SHARD — each shard
-/// persists its own counter — so the oracle routes ids exactly like the
-/// store (same FNV hash) and keeps one counter per shard.
-struct ShardedOracle {
-  explicit ShardedOracle(size_t shards)
+/// The shadow oracle: id → (version, profile text), mirroring exactly
+/// what an OK Put/Remove promises to persist. Versions are PER SHARD —
+/// each shard persists its own counter — so the oracle routes ids exactly
+/// like the store (same FNV hash) and keeps one counter per shard.
+struct Oracle {
+  explicit Oracle(size_t shards)
       : num_shards(shards), next_version(shards, 1) {}
 
   size_t ShardOf(const std::string& id) const {
-    return ShardedProfileStore::ShardIndexForId(id, num_shards);
+    return ProfileStore::ShardIndexForId(id, num_shards);
   }
   void Put(const std::string& id, const std::string& text) {
     entries[id] = {next_version[ShardOf(id)]++, text};
@@ -358,17 +122,17 @@ struct ShardedOracle {
   std::vector<uint64_t> next_version;
 };
 
-bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
-                        const cqp::storage::Database& db,
-                        const std::vector<PoolEntry>& pool,
-                        const std::string& base_dir, uint64_t calibrated_bytes,
-                        CampaignTally* tally) {
+bool RunCampaign(uint64_t campaign, const Flags& flags,
+                 const cqp::storage::Database& db,
+                 const std::vector<PoolEntry>& pool,
+                 const std::string& base_dir, uint64_t calibrated_bytes,
+                 CampaignTally* tally) {
   uint64_t rng = flags.seed * 0x100000001b3ull + campaign * 2654435761ull;
   const std::string dir = base_dir + "/campaign" + std::to_string(campaign);
-  const size_t num_shards = 1 + Mix(rng) % 4;  // 1 covers the PR 6 layout
+  const size_t num_shards = 1 + Mix(rng) % 4;
 
   FaultyFileSystem fs(cqp::storage::PosixFileSystem());
-  ShardedStoreOptions options;
+  StoreOptions options;
   options.dir = dir;
   options.num_shards = num_shards;
   options.fs = &fs;
@@ -400,12 +164,12 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
     }
   }  // else: clean run
 
-  ShardedOracle oracle(num_shards);
-  ShardedOracle after_failed_op(num_shards);
+  Oracle oracle(num_shards);
+  Oracle after_failed_op(num_shards);
   bool fault_hit = false;
 
   {
-    auto opened = ShardedProfileStore::Open(&db, options);
+    auto opened = ProfileStore::Open(&db, options);
     if (!opened.ok()) {
       // Open writes the MANIFEST and creates N journals, so an armed fault
       // can kill setup itself. That is a legal crash point: recovery must
@@ -419,7 +183,7 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
       }
       fault_hit = false;  // nothing was ever acknowledged
     } else {
-      ShardedProfileStore& store = **opened;
+      ProfileStore& store = **opened;
       // 8 ids over 1–4 shards: every shard sees traffic, and the same id
       // keeps revisiting its shard so versions stack up.
       const uint64_t n_ops = 10 + Mix(rng) % 40;
@@ -436,7 +200,7 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
           // above, failpoints only trip writes), so Find must agree with
           // the oracle exactly — paging in from disk when the id went
           // cold.
-          cqp::server::ProfileStore::Snapshot snap = store.FindSnapshot(id);
+          ProfileStore::Snapshot snap = store.FindSnapshot(id);
           auto it = oracle.entries.find(id);
           if (it == oracle.entries.end()) {
             if (snap.graph != nullptr) {
@@ -487,13 +251,10 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
       }
 
       if (store.wedged()) ++tally->wedges;
-      if (auto stats = store.durability_stats()) {
-        tally->compactions += stats->compactions;
-      }
-      if (auto tier = store.shard_stats()) {
-        tally->page_ins += tier->page_ins;
-        tally->evictions += tier->evictions;
-      }
+      const cqp::server::ShardStats total = store.stats().total;
+      tally->compactions += total.journal.compactions;
+      tally->page_ins += total.page_ins;
+      tally->evictions += total.evictions;
     }
   }
   if (fs.crashed()) ++tally->crashes;
@@ -502,19 +263,18 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
   cqp::failpoint::Reset();
   fs.ClearCrash();
 
-  auto reopened = ShardedProfileStore::Open(&db, options);
+  auto reopened = ProfileStore::Open(&db, options);
   if (!reopened.ok()) {
     std::fprintf(stderr,
-                 "campaign %llu: FAIL — sharded recovery refused: %s\n",
+                 "campaign %llu: FAIL — recovery refused to start: %s\n",
                  static_cast<unsigned long long>(campaign),
                  reopened.status().ToString().c_str());
     return false;
   }
-  ShardedProfileStore& recovered = **reopened;
-  if (auto ds = recovered.durability_stats()) {
-    if (ds->torn_tail_recovered) ++tally->torn_tails;
-    tally->records_replayed += ds->replayed_records;
-  }
+  ProfileStore& recovered = **reopened;
+  const cqp::server::JournalStats recovery = recovered.stats().total.journal;
+  if (recovery.torn_tail_recovered) ++tally->torn_tails;
+  tally->records_replayed += recovery.replayed_records;
 
   auto contents = recovered.Contents();
   if (!contents.ok()) {
@@ -549,10 +309,10 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
   // above everything recovered on ITS shard (other shards' counters are
   // independent and may be higher).
   const size_t post_shard =
-      ShardedProfileStore::ShardIndexForId("post", num_shards);
+      ProfileStore::ShardIndexForId("post", num_shards);
   uint64_t max_recovered = 0;
   for (const auto& [id, entry] : state) {
-    if (ShardedProfileStore::ShardIndexForId(id, num_shards) == post_shard) {
+    if (ProfileStore::ShardIndexForId(id, num_shards) == post_shard) {
       max_recovered = std::max(max_recovered, entry.first);
     }
   }
@@ -580,7 +340,7 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
   EntryMap expected_second = state;
   expected_second["post"] = {post_version, pool[0].text};
   {
-    auto third = ShardedProfileStore::Open(&db, options);
+    auto third = ProfileStore::Open(&db, options);
     if (!third.ok()) {
       std::fprintf(stderr,
                    "campaign %llu: FAIL — second recovery failed: %s\n",
@@ -588,8 +348,7 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
                    third.status().ToString().c_str());
       return false;
     }
-    if (auto ds = (*third)->durability_stats();
-        ds && ds->torn_tail_recovered) {
+    if ((*third)->stats().total.journal.torn_tail_recovered) {
       std::fprintf(stderr,
                    "campaign %llu: FAIL — second recovery still sees a "
                    "torn tail (truncation did not stick)\n",
@@ -633,8 +392,7 @@ bool RunShardedCampaign(uint64_t campaign, const Flags& flags,
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--campaigns N] [--seed N] [--sharded] "
-               "[--verbose]\n",
+               "usage: %s [--campaigns N] [--seed N] [--verbose]\n",
                argv0);
   return 2;
 }
@@ -649,8 +407,6 @@ int main(int argc, char** argv) {
       flags.campaigns = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--seed" && i + 1 < argc) {
       flags.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--sharded") {
-      flags.sharded = true;
     } else if (arg == "--verbose") {
       flags.verbose = true;
     } else {
@@ -702,31 +458,16 @@ int main(int argc, char** argv) {
   // campaign writes, so crash offsets can cover the whole range (including
   // "never fires" at the top — a clean-run control).
   uint64_t calibrated_bytes = 4096;
-  if (flags.sharded) {
+  {
     FaultyFileSystem fs(cqp::storage::PosixFileSystem());
-    cqp::server::shard::ShardedStoreOptions options;
+    StoreOptions options;
     options.dir = base_dir + "/calibrate";
     options.num_shards = 4;  // the fuzz maximum — upper-bounds the bytes
     options.fs = &fs;
-    auto store = cqp::server::shard::ShardedProfileStore::Open(&*db, options);
+    auto store = ProfileStore::Open(&*db, options);
     if (store.ok()) {
       for (int op = 0; op < 50; ++op) {
         (void)(*store)->Put("u" + std::to_string(op % 8),
-                            pool[op % pool.size()].profile);
-      }
-      calibrated_bytes = std::max<uint64_t>(fs.bytes_written(), 4096);
-    }
-    std::error_code ec;
-    std::filesystem::remove_all(options.dir, ec);
-  } else {
-    FaultyFileSystem fs(cqp::storage::PosixFileSystem());
-    DurabilityOptions options;
-    options.dir = base_dir + "/calibrate";
-    options.fs = &fs;
-    auto store = DurableProfileStore::Open(&*db, options);
-    if (store.ok()) {
-      for (int op = 0; op < 50; ++op) {
-        (void)(*store)->Put("u" + std::to_string(op % 4),
                             pool[op % pool.size()].profile);
       }
       calibrated_bytes = std::max<uint64_t>(fs.bytes_written(), 4096);
@@ -737,21 +478,17 @@ int main(int argc, char** argv) {
 
   CampaignTally tally;
   for (uint64_t campaign = 0; campaign < flags.campaigns; ++campaign) {
-    const bool ok =
-        flags.sharded
-            ? RunShardedCampaign(campaign, flags, *db, pool, base_dir,
-                                 calibrated_bytes, &tally)
-            : RunCampaign(campaign, flags, *db, pool, base_dir,
-                          calibrated_bytes, &tally);
-    if (!ok) ++tally.failures;
+    if (!RunCampaign(campaign, flags, *db, pool, base_dir, calibrated_bytes,
+                     &tally)) {
+      ++tally.failures;
+    }
   }
 
   std::printf(
-      "%llu%s campaigns: %llu crashes, %llu wedges, %llu torn tails "
+      "%llu campaigns: %llu crashes, %llu wedges, %llu torn tails "
       "recovered, %llu compactions, %llu records replayed, %llu page-ins, "
       "%llu evictions, %llu failures — %s\n",
       static_cast<unsigned long long>(flags.campaigns),
-      flags.sharded ? " sharded" : "",
       static_cast<unsigned long long>(tally.crashes),
       static_cast<unsigned long long>(tally.wedges),
       static_cast<unsigned long long>(tally.torn_tails),

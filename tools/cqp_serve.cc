@@ -11,11 +11,11 @@
 // requests, flush the journal), so `kill` and Ctrl-C never lose data.
 //
 // With --data-dir the profile store is durable (docs/durability.md):
-// every Put/Remove is journaled + fsynced before it is acknowledged and
-// the directory's snapshot + journal are replayed on startup. Adding
-// --shards N switches to the sharded, demand-paged tier (docs/server.md):
-// N independent shard directories under --data-dir, cold profiles paged
-// in on demand, resident graph memory bounded by --resident-mb.
+// every Put/Remove is journaled + fsynced before it is acknowledged, and
+// startup indexes each shard's snapshot + journal. --shards N picks the
+// shard count of a fresh directory (an existing one keeps its MANIFEST's
+// count); cold profiles page in on demand, resident graph memory bounded
+// by --resident-mb (docs/server.md).
 
 #include <fcntl.h>
 #include <poll.h>
@@ -30,10 +30,8 @@
 #include <memory>
 #include <string>
 
-#include "server/durable_profile_store.h"
 #include "server/profile_store.h"
 #include "server/server.h"
-#include "server/shard/sharded_profile_store.h"
 #include "workload/movie_gen.h"
 #include "workload/profile_gen.h"
 #include "workload/tourist_gen.h"
@@ -81,11 +79,10 @@ struct Flags {
   size_t max_k = 20;
   std::string algorithm = "auto";
   std::string data_dir;  ///< durable mode when non-empty
-  double group_commit_ms = 0.0;
   double compact_mb = 4.0;
   double drain_deadline_ms = 1000.0;
-  size_t shards = 0;        ///< >0 = sharded, demand-paged tier
-  double resident_mb = 256.0;  ///< total resident-graph budget (sharded)
+  size_t shards = 0;  ///< 0 = the MANIFEST's count, or 16 when fresh
+  double resident_mb = 256.0;  ///< total resident-graph budget (durable)
 };
 
 int Usage(const char* argv0) {
@@ -96,8 +93,8 @@ int Usage(const char* argv0) {
                "          [--max-pending N] [--soft-pending N]\n"
                "          [--degraded-deadline-ms MS] [--stats-interval S]\n"
                "          [--cmax MS] [--k N] [--algorithm NAME]\n"
-               "          [--data-dir DIR] [--group-commit-ms MS]\n"
-               "          [--compact-mb MB] [--drain-deadline-ms MS]\n"
+               "          [--data-dir DIR] [--compact-mb MB]\n"
+               "          [--drain-deadline-ms MS]\n"
                "          [--shards N] [--resident-mb MB]\n",
                argv0);
   return 2;
@@ -143,8 +140,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->max_k = static_cast<size_t>(value);
     } else if (arg == "--data-dir" && i + 1 < argc) {
       flags->data_dir = argv[++i];
-    } else if (arg == "--group-commit-ms" && next(&value)) {
-      flags->group_commit_ms = value;
     } else if (arg == "--compact-mb" && next(&value)) {
       flags->compact_mb = value;
     } else if (arg == "--drain-deadline-ms" && next(&value)) {
@@ -194,59 +189,34 @@ int main(int argc, char** argv) {
   // 2. The profiles: in-memory by default, journaled + snapshotted when
   // --data-dir names a directory (docs/durability.md).
   std::unique_ptr<server::ProfileStore> owned;
-  // A directory with a MANIFEST is a sharded tier even without --shards:
-  // opening it as a single-dir store would silently serve zero profiles.
-  // num_shards = 0 adopts the manifest's count.
-  const bool sharded_dir =
-      !flags.data_dir.empty() &&
-      ::access((flags.data_dir + "/MANIFEST").c_str(), F_OK) == 0;
-  if (flags.shards > 0 || sharded_dir) {
-    if (flags.data_dir.empty()) {
+  if (flags.data_dir.empty()) {
+    if (flags.shards > 0) {
       std::fprintf(stderr, "--shards requires --data-dir\n");
       return Usage(argv[0]);
     }
-    server::shard::ShardedStoreOptions sharded;
-    sharded.dir = flags.data_dir;
-    sharded.num_shards = flags.shards;
-    sharded.resident_budget_bytes =
-        static_cast<uint64_t>(flags.resident_mb * 1024.0 * 1024.0);
-    sharded.compact_threshold_bytes =
-        static_cast<uint64_t>(flags.compact_mb * 1024.0 * 1024.0);
-    auto opened = server::shard::ShardedProfileStore::Open(&db, sharded);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "data dir %s: %s\n", flags.data_dir.c_str(),
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    auto ds = (*opened)->durability_stats();
-    std::fprintf(stderr,
-                 "opened %zu shards under %s (%zu profiles indexed, lazily "
-                 "paged) in %.1f ms\n",
-                 (*opened)->num_shards(), flags.data_dir.c_str(),
-                 (*opened)->size(), ds ? ds->recovery_ms : 0.0);
-    owned = *std::move(opened);
-  } else if (flags.data_dir.empty()) {
     owned = std::make_unique<server::ProfileStore>(&db);
   } else {
-    server::DurabilityOptions durability;
-    durability.dir = flags.data_dir;
-    durability.group_commit_interval_ms = flags.group_commit_ms;
-    durability.compact_threshold_bytes =
+    server::StoreOptions store_options;
+    store_options.dir = flags.data_dir;
+    store_options.num_shards = flags.shards;
+    store_options.resident_budget_bytes =
+        static_cast<uint64_t>(flags.resident_mb * 1024.0 * 1024.0);
+    store_options.compact_threshold_bytes =
         static_cast<uint64_t>(flags.compact_mb * 1024.0 * 1024.0);
-    auto opened = server::DurableProfileStore::Open(&db, durability);
+    auto opened = server::ProfileStore::Open(&db, store_options);
     if (!opened.ok()) {
       std::fprintf(stderr, "data dir %s: %s\n", flags.data_dir.c_str(),
                    opened.status().ToString().c_str());
       return 1;
     }
-    const server::DurableProfileStore::RecoveryInfo& recovery =
-        (*opened)->recovery();
+    const server::JournalStats recovery = (*opened)->stats().total.journal;
     std::fprintf(stderr,
-                 "recovered %zu profiles from %s (%zu snapshot, %zu journal "
-                 "records%s) in %.1f ms\n",
-                 (*opened)->size(), flags.data_dir.c_str(),
-                 recovery.snapshot_profiles, recovery.replayed_records,
-                 recovery.torn_tail ? ", torn tail truncated" : "",
+                 "opened %zu shards under %s (%zu profiles indexed from %llu "
+                 "journal records%s, lazily paged) in %.1f ms\n",
+                 (*opened)->num_shards(), flags.data_dir.c_str(),
+                 (*opened)->size(),
+                 static_cast<unsigned long long>(recovery.replayed_records),
+                 recovery.torn_tail_recovered ? ", torn tail truncated" : "",
                  recovery.recovery_ms);
     owned = *std::move(opened);
   }
