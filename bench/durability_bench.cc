@@ -6,8 +6,9 @@
 // Three cell families, one BENCH_durability.json record:
 //
 //   mode=inline            sequential Puts into a 1-shard store, one fsync
-//                          each: put_avg_ms, put_p50_ms, puts_per_sec,
-//                          fsync_per_put (~1).
+//                          each: puts_per_sec, the put latency's median and
+//                          tail (put_p50_ms, put_tail_ms at put_tail_pct,
+//                          over put_n puts), fsync_per_put (~1).
 //   mode=shards, threads=T T closed-loop writer threads against a T-shard
 //                          store, writer t putting ids that route to
 //                          shard t: puts_per_sec shows whether N journals
@@ -21,12 +22,12 @@
 //
 // All cells run against a real directory under /tmp (posix fsync — the
 // numbers include the device), with compaction disabled so journal length
-// is the controlled variable.
+// is the controlled variable. The record carries the machine fingerprint
+// (bench_record.h).
 //
 // Flags: --smoke    reduced grid (fewer ops, threads {1,4}, one recovery N)
 //        --json P   write the record to P (default BENCH_durability.json)
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_record.h"
 #include "common/stopwatch.h"
 #include "server/json.h"
 #include "server/profile_store.h"
@@ -66,13 +68,6 @@ StatusOr<std::unique_ptr<ProfileStore>> OpenStore(const storage::Database& db,
   options.num_shards = shards;
   options.compact_threshold_bytes = kNoCompaction;
   return ProfileStore::Open(&db, options);
-}
-
-double Percentile(std::vector<double>& sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0.0;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(sorted_ms.size()));
-  idx = std::min(idx, sorted_ms.size() - 1);
-  return sorted_ms[idx];
 }
 
 server::JsonValue MakeCell(const char* mode) {
@@ -109,17 +104,12 @@ server::JsonValue RunInlineCell(const storage::Database& db,
   }
   const double wall_ms = wall.ElapsedMillis();
   const server::JournalStats stats = (*store)->stats().total.journal;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  double sum = 0.0;
-  for (double ms : latencies_ms) sum += ms;
 
   cell.Set("ops", JsonValue::Number(static_cast<double>(n_ops)));
   cell.Set("puts_per_sec",
            JsonValue::Number(1000.0 * static_cast<double>(n_ops) / wall_ms));
-  cell.Set("put_avg_ms",
-           JsonValue::Number(sum / static_cast<double>(n_ops)));
-  cell.Set("put_p50_ms", JsonValue::Number(Percentile(latencies_ms, 0.5)));
-  cell.Set("put_p99_ms", JsonValue::Number(Percentile(latencies_ms, 0.99)));
+  bench::SetLatency(cell, "put_",
+                    cqpbench::Summarize(std::move(latencies_ms)));
   cell.Set("fsync_per_put",
            JsonValue::Number(static_cast<double>(stats.fsyncs) /
                              static_cast<double>(n_ops)));
@@ -307,20 +297,9 @@ int Run(bool smoke, const std::string& json_path) {
   }
   record.Set("cells", std::move(cells));
 
-  std::string json = record.Dump();
-  std::printf("%s\n", json.c_str());
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fputs("\n", f);
-  std::fclose(f);
-
   std::error_code ec;
   std::filesystem::remove_all(base_dir, ec);
-  return 0;
+  return bench::WriteRecord(std::move(record), json_path) ? 0 : 1;
 }
 
 }  // namespace

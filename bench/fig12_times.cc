@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "bench_record.h"
 #include "bench_util.h"
 
 namespace {
@@ -20,6 +21,7 @@ constexpr double kCellBudgetSeconds = 10.0;
 int Run() {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   std::printf("Figure 12 — execution times (mean over profile x query runs)\n");
+  std::printf("fingerprint %s\n", Fingerprint().Dump().c_str());
   auto ctx_or = cqp::workload::ExperimentContext::Create(DefaultConfig());
   if (!ctx_or.ok()) {
     std::fprintf(stderr, "%s\n", ctx_or.status().ToString().c_str());
@@ -73,24 +75,6 @@ int Run() {
       std::printf(" %s", FormatCell(cell.mean_states, cell).c_str());
     }
     std::printf("\n");
-  }
-
-  // Ablation: our fused/pruned D-MaxDoi variant vs the paper's original.
-  std::printf(
-      "\n(ablation) D-MaxDoi vs D-MaxDoi+Prune (exact solutions both; "
-      "time [ms] / states)\n");
-  std::printf("%4s %26s %26s\n", "K", "D-MaxDoi", "D-MaxDoi+Prune");
-  for (auto& [k, instances] : per_k) {
-    auto problems = FixedCmaxProblems(instances, 400.0);
-    std::vector<double> no_ref(instances.size(), -1.0);
-    Cell base = RunCell("D-MaxDoi", instances, problems, no_ref,
-                        kCellBudgetSeconds);
-    Cell pruned = RunCell("D-MaxDoi+Prune", instances, problems, no_ref,
-                          kCellBudgetSeconds);
-    std::printf("%4d %12.3f%s/%11.0f %12.3f%s/%11.0f\n", k,
-                base.mean_wall_ms, base.truncated() ? "*" : " ",
-                base.mean_states, pruned.mean_wall_ms,
-                pruned.truncated() ? "*" : " ", pruned.mean_states);
   }
 
   std::printf("\n(b) Preference-selection time [ms] vs K\n");

@@ -20,7 +20,8 @@
 // the search integrates everything it can; "tight" = cmax at 2x the base
 // query's cost). The >= 20% reduction targets are judged on the generous
 // cell, where the unoptimized emission demonstrably carries vacuous and
-// tautological branches.
+// tautological branches. Every cell is a seeded count, not a timing; the
+// record carries the machine fingerprint (bench_record.h).
 //
 // Usage: rewrite_bench [--smoke] [--json PATH]
 //        --smoke    tiny database and sweep (CI)
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_record.h"
 #include "common/str_util.h"
 #include "construct/personalizer.h"
 #include "estimation/estimate.h"
@@ -340,17 +342,7 @@ int Run(bool smoke, const std::string& json_path) {
                  k_target_met, cost_target_met);
   }
 
-  std::string json = record.Dump();
-  std::printf("%s\n", json.c_str());
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), f);
-  std::fputs("\n", f);
-  std::fclose(f);
-  return 0;
+  return WriteRecord(std::move(record), json_path) ? 0 : 1;
 }
 
 }  // namespace

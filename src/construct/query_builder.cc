@@ -162,7 +162,6 @@ StatusOr<PersonalizedQuery> BuildPersonalizedQuery(
     rewrite::RewriteStats stats;
     ir = rewrite::OptimizeQueryIR(std::move(ir), db.constraints(), &stats);
     if (stats.changed()) {
-      out.pre_rewrite_sql = out.ToSql();
       out.subqueries.clear();
       out.subquery_prefs.clear();
       out.dois.clear();

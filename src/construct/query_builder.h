@@ -29,9 +29,6 @@ struct PersonalizedQuery {
   /// What the semantic optimizer did to this rewriting (all zero when
   /// BuildOptions.optimize is off or no pass fired).
   rewrite::RewriteStats rewrite;
-  /// SQL text of the rewriting before optimization; set only when the
-  /// optimizer ran (for .explain / debugging). Empty otherwise.
-  std::string pre_rewrite_sql;
 
   size_t L() const { return subqueries.size(); }
 

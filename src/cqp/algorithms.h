@@ -52,22 +52,6 @@ class DMaxDoiAlgorithm : public Algorithm {
                            SearchContext& ctx) const override;
 };
 
-/// "D-MaxDoi+Prune": our extension of D-MAXDOI that fuses the two phases
-/// and applies the BestExpectedDoi bound *during* the chain search (any
-/// state derived from a dequeued state keeps all positions at or after its
-/// minimum, so the suffix doi bounds everything reachable). Identical
-/// solutions, often orders of magnitude fewer states (ablated in
-/// bench/fig12_times).
-class DMaxDoiPrunedAlgorithm : public Algorithm {
- public:
-  const char* name() const override { return "D-MaxDoi+Prune"; }
-  bool Supports(const ProblemSpec& problem) const override;
-  bool IsExactFor(const ProblemSpec& problem) const override;
-  StatusOr<Solution> Solve(const space::PreferenceSpaceResult& space,
-                           const ProblemSpec& problem,
-                           SearchContext& ctx) const override;
-};
-
 /// D-SINGLEMAXDOI (paper Fig. 10): single-phase greedy maximal-set search
 /// on the doi state space.
 class DSingleMaxDoiAlgorithm : public Algorithm {

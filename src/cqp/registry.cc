@@ -12,16 +12,15 @@ const Algorithm* const* Registered(size_t* count) {
   static const CBoundariesAlgorithm c_boundaries;
   static const CMaxBoundsAlgorithm c_maxbounds;
   static const DMaxDoiAlgorithm d_maxdoi;
-  static const DMaxDoiPrunedAlgorithm d_maxdoi_pruned;
   static const DSingleMaxDoiAlgorithm d_singlemaxdoi;
   static const DHeurDoiAlgorithm d_heurdoi;
   static const MinCostBranchBoundAlgorithm mincost_bb;
   static const MinCostGreedyAlgorithm mincost_greedy;
   static const AllPreferencesAlgorithm all_preferences;
   static const Algorithm* const algorithms[] = {
-      &d_maxdoi,   &d_singlemaxdoi, &c_boundaries,   &c_maxbounds,
-      &d_heurdoi,  &exhaustive,     &d_maxdoi_pruned, &mincost_bb,
-      &mincost_greedy, &all_preferences,
+      &d_maxdoi,  &d_singlemaxdoi, &c_boundaries,   &c_maxbounds,
+      &d_heurdoi, &exhaustive,     &mincost_bb,     &mincost_greedy,
+      &all_preferences,
   };
   *count = sizeof(algorithms) / sizeof(algorithms[0]);
   return algorithms;

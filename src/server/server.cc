@@ -166,9 +166,10 @@ void Server::Stop() {
   pool_.reset();
   loops_.clear();
 
-  // 5. Make every acknowledged mutation durable before the process exits
-  // (no-op for the in-memory store; inline-fsync durable stores have
-  // nothing buffered either, but group commit may).
+  // 5. fsync every shard journal before the process exits. A Put is
+  // fsynced before it is acknowledged, so nothing acknowledged is still
+  // buffered; the final sync reports a wedged or failing journal. No-op
+  // for the in-memory store.
   Status flushed = profiles_->Flush();
   if (!flushed.ok()) {
     std::fprintf(stderr, "cqp_serve: journal flush on shutdown failed: %s\n",

@@ -834,9 +834,18 @@ Status CqpShell::HandleQuery(const std::string& sql, bool execute,
         static_cast<unsigned long long>(rw.branches_subsumed),
         static_cast<unsigned long long>(result.space->constraint_pruned));
   }
-  if (!execute && !result.personalized.pre_rewrite_sql.empty()) {
-    out << "sql (before rewrite):\n"
-        << result.personalized.pre_rewrite_sql << "\n";
+  if (!execute && rw.changed()) {
+    // Rebuild the same chosen set unoptimized; the served path never
+    // renders this text.
+    construct::BuildOptions unoptimized = request.build_options;
+    unoptimized.optimize = false;
+    CQP_ASSIGN_OR_RETURN(
+        construct::PersonalizedQuery before,
+        construct::BuildPersonalizedQuery(
+            *db_, result.space->query, result.space->prefs,
+            result.solution.feasible ? result.solution.chosen : IndexSet(),
+            unoptimized));
+    out << "sql (before rewrite):\n" << before.ToSql() << "\n";
   }
   out << "sql:\n" << result.final_sql << "\n";
   if (!execute) return Status::OK();

@@ -92,7 +92,7 @@ TEST_P(Problem2Sweep, ExactAlgorithmsMatchExhaustive) {
   Solution optimal = MustSolve("Exhaustive", space, problem);
   ASSERT_TRUE(optimal.feasible);  // fraction >= base-cost always here
 
-  for (const char* name : {"C-Boundaries", "D-MaxDoi", "D-MaxDoi+Prune"}) {
+  for (const char* name : {"C-Boundaries", "D-MaxDoi"}) {
     Solution got = MustSolve(name, space, problem);
     ASSERT_TRUE(got.feasible) << name;
     EXPECT_NEAR(got.params.doi, optimal.params.doi, 1e-9)
@@ -316,7 +316,7 @@ TEST(AlgorithmEdgeTest, TightCmaxAdmitsOnlyCheapestSingleton) {
   Solution optimal = MustSolve("Exhaustive", space, problem);
   ASSERT_TRUE(optimal.feasible);
   EXPECT_LE(optimal.chosen.size(), 1u);
-  for (const char* name : {"C-Boundaries", "D-MaxDoi", "D-MaxDoi+Prune"}) {
+  for (const char* name : {"C-Boundaries", "D-MaxDoi"}) {
     Solution got = MustSolve(name, space, problem);
     EXPECT_NEAR(got.params.doi, optimal.params.doi, 1e-12) << name;
   }
@@ -399,7 +399,7 @@ TEST(AlgorithmEdgeTest, EqualDoisHandled) {
   Solution optimal = MustSolve("Exhaustive", space, problem);
   ASSERT_TRUE(optimal.feasible);
   EXPECT_EQ(optimal.chosen.size(), 3u);
-  for (const char* name : {"C-Boundaries", "D-MaxDoi", "D-MaxDoi+Prune", "C-MaxBounds",
+  for (const char* name : {"C-Boundaries", "D-MaxDoi", "C-MaxBounds",
                            "D-SingleMaxDoi", "D-HeurDoi"}) {
     Solution got = MustSolve(name, space, problem);
     EXPECT_NEAR(got.params.doi, optimal.params.doi, 1e-12) << name;
@@ -412,9 +412,9 @@ TEST(AlgorithmEdgeTest, EqualDoisHandled) {
 /// Solution::feasible == false, never as a Status error.
 const char* kEveryAlgorithm[] = {"Exhaustive",     "C-Boundaries",
                                  "C-MaxBounds",    "D-MaxDoi",
-                                 "D-MaxDoi+Prune", "D-SingleMaxDoi",
-                                 "D-HeurDoi",      "MinCost-BB",
-                                 "MinCost-Greedy", "All-Preferences"};
+                                 "D-SingleMaxDoi", "D-HeurDoi",
+                                 "MinCost-BB",     "MinCost-Greedy",
+                                 "All-Preferences"};
 
 /// A problem the given algorithm supports: the doi family gets Problem 2,
 /// the cost-minimization family gets Problem 6.

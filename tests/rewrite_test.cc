@@ -509,7 +509,6 @@ TEST_F(RewritePipelineTest, DisableRewriteTogglesBothHalves) {
   EXPECT_EQ(r->space->constraint_pruned, 0u);
   EXPECT_EQ(r->space->K(), 2u);
   EXPECT_FALSE(r->personalized.rewrite.changed());
-  EXPECT_TRUE(r->personalized.pre_rewrite_sql.empty());
 }
 
 TEST_F(RewritePipelineTest, ConstraintRevisionInvalidatesPlanCache) {
@@ -569,7 +568,6 @@ TEST_F(RewritePipelineTest, AllBranchesContradictedEmitsBaseQuery) {
   EXPECT_EQ(built->rewrite.branches_contradicted, 1u);
   auto canon = *construct::CanonicalizeSelectList(db_, q);
   EXPECT_EQ(built->ToSql(), canon.ToSql());
-  EXPECT_FALSE(built->pre_rewrite_sql.empty());
 }
 
 }  // namespace

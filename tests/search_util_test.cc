@@ -292,8 +292,8 @@ TEST_P(TruncationTest, LimitedRunStillReturnsSolution) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, TruncationTest,
                          ::testing::Values("C-Boundaries", "C-MaxBounds",
-                                           "D-MaxDoi", "D-MaxDoi+Prune",
-                                           "D-SingleMaxDoi", "D-HeurDoi"));
+                                           "D-MaxDoi", "D-SingleMaxDoi",
+                                           "D-HeurDoi"));
 
 }  // namespace
 }  // namespace cqp::cqp

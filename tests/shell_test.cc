@@ -95,6 +95,37 @@ TEST_F(ShellWithDbTest, FullPersonalizationFlow) {
   EXPECT_NE(out.find("rows"), std::string::npos);
 }
 
+TEST_F(ShellWithDbTest, ExplainShowsSqlBeforeRewriteWhenAPassFires) {
+  // Both preferences hold for every generated movie, so under the mined
+  // domain constraints their selections are tautologies the optimizer
+  // drops.
+  EXPECT_EQ(RunLine(shell_, ".profile add doi(MOVIE.year >= 1000) = 0.6"), "");
+  EXPECT_EQ(RunLine(shell_, ".profile add doi(MOVIE.duration >= 1) = 0.5"),
+            "");
+  EXPECT_EQ(RunLine(shell_, ".problem 2 cmax=1e9"), "");
+
+  std::string out = RunLine(shell_, ".explain SELECT title FROM MOVIE");
+  EXPECT_EQ(out.find("sql (before rewrite):"), std::string::npos) << out;
+
+  RunLine(shell_, ".constraints derive");
+  out = RunLine(shell_, ".explain SELECT title FROM MOVIE");
+  EXPECT_NE(out.find("rewrite: "), std::string::npos) << out;
+  const size_t before = out.find("sql (before rewrite):\n");
+  const size_t after = out.find("\nsql:\n");
+  ASSERT_NE(before, std::string::npos) << out;
+  ASSERT_NE(after, std::string::npos) << out;
+  ASSERT_LT(before, after) << out;
+  // The unoptimized text keeps the tautology; the served text does not.
+  EXPECT_NE(out.substr(before, after - before).find(">= 1000"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.substr(after).find(">= 1000"), std::string::npos) << out;
+
+  // A query that executes prints no pre-rewrite text.
+  out = RunLine(shell_, "SELECT title FROM MOVIE");
+  EXPECT_EQ(out.find("sql (before rewrite):"), std::string::npos) << out;
+}
+
 TEST_F(ShellWithDbTest, ServeAndConnectRoundTrip) {
   EXPECT_EQ(RunLine(shell_, ".profile add doi(MOVIE.year >= 1990) = 0.7"), "");
   std::string out = RunLine(shell_, ".serve");  // no port = ephemeral
