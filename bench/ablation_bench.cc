@@ -65,12 +65,6 @@ void ConjunctionAblation(const std::vector<cqp::workload::Instance>& base) {
       std::printf("\n");
     }
   }
-  std::printf(
-      "reading: both models show the Fig. 14 shrink-with-budget trend. At\n"
-      "tight budgets (10%%) the capped sum has not saturated and shows its\n"
-      "own gap profile; at 50%% it saturates at exactly 1.0 even faster\n"
-      "than noisy-or, collapsing all differences to zero — the paper's\n"
-      "tiny Fig. 14 gaps are robust to saturating conjunction models.\n");
 }
 
 void MultiObjectiveDemo(const cqp::workload::Instance& inst) {
@@ -161,9 +155,6 @@ void MergeAblation(const cqp::storage::Database& db,
               "(%zu runs, %zu regressions)\n",
               plain_ms / static_cast<double>(runs),
               merged_ms / static_cast<double>(runs), runs, mismatches);
-  std::printf(
-      "merging join-free preferences removes whole base-relation re-scans\n"
-      "from the UNION, which is exactly the saving footnote 1 anticipates.\n");
 }
 
 int Run() {

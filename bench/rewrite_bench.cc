@@ -273,7 +273,8 @@ int Run(bool smoke, const std::string& json_path) {
             budget.generous ? 1e9 : 2.0 * base_est->cost_ms);
 
         construct::PersonalizeRequest baseline_request = request;
-        baseline_request.disable_rewrite = true;
+        baseline_request.space_options.constraint_prune = false;
+        baseline_request.build_options.optimize = false;
         auto baseline = personalizer.Personalize(baseline_request);
         auto rewritten = personalizer.Personalize(request);
         if (!baseline.ok() || !rewritten.ok()) {
@@ -308,7 +309,7 @@ int Run(bool smoke, const std::string& json_path) {
         cell.size_baseline += base_qx.size;
         cell.size_qx += rewrite_qx.size;
         cell.conjuncts_dropped += reopt->rewrite.conjuncts_dropped;
-        cell.branches_eliminated += reopt->rewrite.branches_eliminated();
+        cell.branches_eliminated += reopt->rewrite.branches_subsumed;
         cell.prefs_pruned += rewritten->space->constraint_pruned;
       }
     }

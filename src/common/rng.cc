@@ -74,6 +74,4 @@ double Rng::Gaussian() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace cqp

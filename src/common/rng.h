@@ -50,9 +50,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator (for parallel-safe substreams).
-  Rng Fork();
-
  private:
   uint64_t state_;
 };

@@ -165,11 +165,9 @@ StatusOr<PreparedQuery> Personalizer::PrepareParsed(
   prepared.fingerprint = sql::QueryFingerprint(prepared.query);
 
   // Effective extraction options: the pruning pass reads the database's
-  // constraint set, and disable_rewrite turns the pass off wholesale.
+  // constraint set.
   space::PreferenceSpaceOptions space_options = request.space_options;
   space_options.constraints = &db_->constraints();
-  space_options.constraint_prune =
-      space_options.constraint_prune && !request.disable_rewrite;
 
   PlanCache::Key key;
   if (request.plan_cache != nullptr) {
@@ -323,14 +321,12 @@ StatusOr<PersonalizeResult> Personalizer::SolveResolved(
     result.rung = FallbackRung::kOriginal;
   }
 
-  BuildOptions build_options = request.build_options;
-  build_options.optimize = build_options.optimize && !request.disable_rewrite;
   CQP_ASSIGN_OR_RETURN(
       result.personalized,
       BuildPersonalizedQuery(*db_, prepared.query, view.prefs,
                              result.solution.feasible ? result.solution.chosen
                                                       : IndexSet(),
-                             build_options));
+                             request.build_options));
   result.final_sql = result.personalized.ToSql();
   return result;
 }
@@ -356,12 +352,10 @@ StatusOr<PersonalizeResult> Personalizer::Personalize(
   result.attempts.push_back("extract: " + prepared.status().ToString());
   result.solution = OriginalQuerySolution();
   result.rung = FallbackRung::kOriginal;
-  BuildOptions build_options = request.build_options;
-  build_options.optimize = build_options.optimize && !request.disable_rewrite;
   CQP_ASSIGN_OR_RETURN(
       result.personalized,
       BuildPersonalizedQuery(*db_, query, result.space->prefs, IndexSet(),
-                             build_options));
+                             request.build_options));
   result.final_sql = result.personalized.ToSql();
   return result;
 }

@@ -79,15 +79,6 @@ struct PersonalizeRequest {
   /// kernels; docs/simd.md). The batch path is bit-for-bit identical, so
   /// this exists for differential testing and benchmarking, not accuracy.
   bool disable_batch_eval = false;
-  /// Disables the whole semantic rewrite layer (docs/rewriting.md) for this
-  /// request: no pre-search constraint pruning of the preference space and
-  /// no IR optimization of the constructed query, regardless of
-  /// space_options.constraint_prune / build_options.optimize. The two
-  /// halves are toggled together because their soundness argument is joint
-  /// (the contradiction pass relies on pruning having equal detection
-  /// power). Exists for differential testing — the optimized and
-  /// unoptimized queries must return identical rows.
-  bool disable_rewrite = false;
   /// Caller-owned cache of PreparedSpace artifacts; nullptr prepares from
   /// scratch. When set, `profile_id` + `profile_version` MUST identify the
   /// personalization graph this request runs against (the effective graph —

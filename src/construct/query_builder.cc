@@ -5,27 +5,16 @@
 #include "common/str_util.h"
 #include "prefs/doi.h"
 #include "rewrite/passes.h"
+#include "space/preference_space.h"
 
 namespace cqp::construct {
 
 namespace {
 
-using prefs::AtomicJoin;
 using prefs::ImplicitPreference;
 using sql::ColumnRef;
-using sql::Predicate;
 using sql::SelectQuery;
 using sql::TableRef;
-
-/// Finds the base FROM entry the preference path anchors to.
-StatusOr<const TableRef*> FindAnchor(const SelectQuery& base,
-                                     const std::string& relation) {
-  for (const TableRef& t : base.from) {
-    if (EqualsIgnoreCase(t.relation, relation)) return &t;
-  }
-  return InvalidArgument("preference anchor relation " + relation +
-                         " does not appear in the query");
-}
 
 }  // namespace
 
@@ -78,26 +67,7 @@ StatusOr<SelectQuery> BuildSubQuery(const storage::Database& db,
   // Personalizer::Execute after ranking.
   sub.order_by.clear();
   sub.limit.reset();
-  CQP_ASSIGN_OR_RETURN(const TableRef* anchor,
-                       FindAnchor(base, pref.AnchorRelation()));
-
-  std::string prev_alias = anchor->EffectiveAlias();
-  for (size_t j = 0; j < pref.joins.size(); ++j) {
-    const AtomicJoin& join = pref.joins[j];
-    std::string alias =
-        StrFormat("p%d_%s", ordinal, ToLower(join.to_relation).c_str());
-    sub.from.push_back(TableRef{join.to_relation, alias});
-    sub.where.push_back(Predicate::Join(
-        ColumnRef{prev_alias, join.from_attribute}, catalog::CompareOp::kEq,
-        ColumnRef{alias, join.to_attribute}));
-    prev_alias = alias;
-  }
-  // Final selection edge: on the path tail (or the anchor for join-free
-  // preferences).
-  sub.where.push_back(Predicate::Selection(
-      ColumnRef{prev_alias, pref.selection.attribute}, pref.selection.op,
-      pref.selection.value));
-  return sub;
+  return space::BuildPreferenceBranch(std::move(sub), pref, ordinal);
 }
 
 StatusOr<PersonalizedQuery> BuildPersonalizedQuery(
@@ -126,7 +96,7 @@ StatusOr<PersonalizedQuery> BuildPersonalizedQuery(
     ++ordinal;
     // Build the sub-query for the first member, then AND in the remaining
     // members' conditions (they are join-free by construction of groups
-    // with more than one member).
+    // with more than one member, so each adds only its selection).
     const ImplicitPreference& first =
         prefs[static_cast<size_t>(group[0])].pref;
     CQP_ASSIGN_OR_RETURN(SelectQuery sub,
@@ -135,11 +105,8 @@ StatusOr<PersonalizedQuery> BuildPersonalizedQuery(
     for (size_t m = 1; m < group.size(); ++m) {
       const ImplicitPreference& extra =
           prefs[static_cast<size_t>(group[m])].pref;
-      CQP_ASSIGN_OR_RETURN(const TableRef* anchor,
-                           FindAnchor(base, extra.AnchorRelation()));
-      sub.where.push_back(Predicate::Selection(
-          ColumnRef{anchor->EffectiveAlias(), extra.selection.attribute},
-          extra.selection.op, extra.selection.value));
+      CQP_ASSIGN_OR_RETURN(
+          sub, space::BuildPreferenceBranch(std::move(sub), extra, ordinal));
       dois.push_back(prefs[static_cast<size_t>(group[m])].doi);
     }
     out.subqueries.push_back(std::move(sub));

@@ -54,16 +54,18 @@ struct BuildOptions {
   /// preferences require two GENRE rows, not one).
   bool merge_compatible = false;
   /// Run the semantic optimizer (docs/rewriting.md) over the assembled
-  /// rewriting: constraint-redundant conjuncts are dropped, contradicted
-  /// branches eliminated, and subsumed branches merged. Sound on databases
-  /// that satisfy db.constraints(); an empty constraint set still enables
-  /// the pure-logic passes (duplicate conjuncts, subsumption).
+  /// rewriting: constraint-redundant conjuncts are dropped and subsumed
+  /// branches merged. Row-preserving on databases that satisfy
+  /// db.constraints(); an empty constraint set still enables the
+  /// pure-logic passes (duplicate conjuncts, subsumption).
   bool optimize = true;
 };
 
-/// Builds one sub-query integrating `pref` into `base`: base's FROM plus a
-/// fresh alias per path relation, the path's join predicates, and the final
-/// selection. `ordinal` namespaces the fresh aliases (p<ordinal>_<rel>).
+/// Builds one sub-query integrating `pref` into `base`: the branch
+/// space::BuildPreferenceBranch builds (the one the pre-search pruning
+/// checks) over base with its select list canonicalized and its ORDER BY
+/// and LIMIT dropped. `ordinal` namespaces the fresh aliases
+/// (p<ordinal>_<rel>).
 StatusOr<sql::SelectQuery> BuildSubQuery(const storage::Database& db,
                                          const sql::SelectQuery& base,
                                          const prefs::ImplicitPreference& pref,

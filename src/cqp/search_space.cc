@@ -1,23 +1,10 @@
 #include "cqp/search_space.h"
 
 #include <bit>
-#include <limits>
 
 #include "common/logging.h"
 
 namespace cqp::cqp {
-
-const char* SpaceKindName(SpaceKind kind) {
-  switch (kind) {
-    case SpaceKind::kCost:
-      return "cost";
-    case SpaceKind::kDoi:
-      return "doi";
-    case SpaceKind::kSize:
-      return "size";
-  }
-  return "?";
-}
 
 SpaceView::SpaceView(const estimation::StateEvaluator* evaluator,
                      const ProblemSpec* problem, SpaceKind kind,
@@ -83,9 +70,10 @@ estimation::StateParams SpaceView::Evaluate(const IndexSet& positions,
     }
     return params;
   }
-  // K >= 64 (never produced by extraction, possible in synthetic tests):
-  // no uint64_t key exists, so evaluate directly — still in ascending
-  // P-index order for consistency with the cached path.
+  // K >= 64 (never served — the wire, the server's default and the shell
+  // all cap max_k at 63 — but a library caller or a synthetic test can
+  // ask for more): no uint64_t key exists, so evaluate directly — still in
+  // ascending P-index order for consistency with the cached path.
   return evaluator_->Evaluate(ToPrefIndices(positions));
 }
 
@@ -175,43 +163,6 @@ void SpaceView::ExtendFrontier(const estimation::StateParams& parent,
   batch_->ExtendBatch(parent, extend_scratch_.data(), n, out);
   metrics.transitions += n;
   BumpFrontierCounters(n, metrics);
-}
-
-FrontierMasks ClassifyFrontier(const SpaceView& view,
-                               const estimation::BatchEvaluator::Results& r) {
-  CQP_CHECK_LE(r.n, size_t{64});
-  const ProblemSpec& problem = view.problem();
-  const double inf = std::numeric_limits<double>::infinity();
-  const double cmax = problem.cmax_ms.value_or(inf);
-  const double dmin = problem.dmin.value_or(-inf);
-  const double smin = problem.smin.value_or(-inf);
-  const double smax = problem.smax.value_or(inf);
-  double bound_cmax = inf;
-  double bound_smin = -inf;
-  switch (view.kind()) {
-    case SpaceKind::kCost:
-      bound_cmax = cmax;
-      break;
-    case SpaceKind::kSize:
-      bound_smin = smin;
-      break;
-    case SpaceKind::kDoi:
-      bound_cmax = cmax;
-      bound_smin = smin;
-      break;
-  }
-  FrontierMasks masks;
-  for (size_t l = 0; l < r.n; ++l) {
-    const double cost = r.cost_ms[l];
-    const double doi = r.doi[l];
-    const double size = r.size[l];
-    const bool feasible =
-        cost <= cmax && doi >= dmin && size >= smin && size <= smax;
-    const bool within = cost <= bound_cmax && size >= bound_smin;
-    masks.feasible |= static_cast<uint64_t>(feasible) << l;
-    masks.within_bound |= static_cast<uint64_t>(within) << l;
-  }
-  return masks;
 }
 
 double SpaceView::BestExpectedDoi(size_t n) const {

@@ -20,8 +20,6 @@ enum class SpaceKind {
   kSize,  ///< S: size(Q ∧ p) ascending — position 0 shrinks the result most
 };
 
-const char* SpaceKindName(SpaceKind kind);
-
 /// A view of the preference space P as a state space over one pointer
 /// vector, bundled with the problem's constraints (paper §5.1, §6).
 ///
@@ -130,21 +128,6 @@ class SpaceView {
   mutable std::vector<uint64_t> frontier_scratch_;  ///< pref-bit masks
   mutable std::vector<int32_t> extend_scratch_;     ///< pref indices
 };
-
-/// Lane bitmasks classifying a batch of evaluated states; bit l refers to
-/// lane l of `results` (requires results.n <= 64 — frontiers are bounded
-/// by K or by the tail width, both < 64).
-struct FrontierMasks {
-  uint64_t feasible = 0;      ///< ProblemSpec::IsFeasible per lane
-  uint64_t within_bound = 0;  ///< SpaceView::WithinBound per lane
-};
-
-/// Branchless feasibility/bound classification of a frontier. The
-/// comparisons are the exact ones IsFeasible/WithinBound perform (absent
-/// constraints resolve to ±infinity), so the masks agree with the scalar
-/// predicates on every lane including exact-boundary hits.
-FrontierMasks ClassifyFrontier(const SpaceView& view,
-                               const estimation::BatchEvaluator::Results& r);
 
 }  // namespace cqp::cqp
 

@@ -1,7 +1,6 @@
 #include "estimation/batch_evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -107,8 +106,6 @@ BatchEvaluator::BatchEvaluator(const QueryBaseEstimate& base,
   selectivity_.reserve(k);
   doi_.reserve(k);
   one_minus_doi_.reserve(k);
-  log_selectivity_.reserve(k);
-  log1p_neg_doi_.reserve(k);
   identity_seq_.reserve(k);
   for (size_t i = 0; i < k; ++i) {
     const ScoredPreference& p = prefs[i];
@@ -120,8 +117,6 @@ BatchEvaluator::BatchEvaluator(const QueryBaseEstimate& base,
     selectivity_.push_back(p.selectivity);
     doi_.push_back(p.doi);
     one_minus_doi_.push_back(1.0 - p.doi);
-    log_selectivity_.push_back(std::log(p.selectivity));
-    log1p_neg_doi_.push_back(std::log1p(-p.doi));
     identity_seq_.push_back(static_cast<int32_t>(i));
   }
 }

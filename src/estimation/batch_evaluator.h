@@ -114,15 +114,6 @@ class BatchEvaluator {
     return (n + kernel_.width - 1) / kernel_.width * kernel_.width;
   }
 
-  // Log-domain companions of the SoA arrays, precomputed at construction:
-  // log(selectivity) and log1p(-doi). Feasibility pre-screens can sum
-  // these instead of multiplying probabilities (size and noisy-or doi
-  // bounds become additive); the exact-parity kernels do not use them.
-  const std::vector<double>& log_selectivity() const {
-    return log_selectivity_;
-  }
-  const std::vector<double>& log1p_neg_doi() const { return log1p_neg_doi_; }
-
  private:
   void RunKernel(internal::KernelArgs args, size_t n, Results* out) const;
 
@@ -135,8 +126,6 @@ class BatchEvaluator {
   std::vector<double> selectivity_;
   std::vector<double> doi_;
   std::vector<double> one_minus_doi_;
-  std::vector<double> log_selectivity_;
-  std::vector<double> log1p_neg_doi_;
   std::vector<int32_t> identity_seq_;  ///< 0..K-1, EvaluateMasks' sequence
 };
 

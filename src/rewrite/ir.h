@@ -37,20 +37,15 @@ struct QueryIR {
 /// Counters reported by the semantic optimizer. The space-side pre-search
 /// pass contributes prefs_pruned; the IR passes fill the rest.
 struct RewriteStats {
-  uint64_t conjuncts_dropped = 0;      ///< redundancy elimination
-  uint64_t branches_contradicted = 0;  ///< unsatisfiable branches dropped
-  uint64_t branches_subsumed = 0;      ///< weaker branches merged away
+  uint64_t conjuncts_dropped = 0;  ///< redundancy elimination
+  uint64_t branches_subsumed = 0;  ///< weaker branches merged away
   uint64_t prefs_pruned = 0;  ///< constraint-contradicted prefs never admitted
 
-  uint64_t branches_eliminated() const {
-    return branches_contradicted + branches_subsumed;
-  }
   bool changed() const {
-    return conjuncts_dropped != 0 || branches_eliminated() != 0;
+    return conjuncts_dropped != 0 || branches_subsumed != 0;
   }
   void Add(const RewriteStats& other) {
     conjuncts_dropped += other.conjuncts_dropped;
-    branches_contradicted += other.branches_contradicted;
     branches_subsumed += other.branches_subsumed;
     prefs_pruned += other.prefs_pruned;
   }

@@ -238,22 +238,6 @@ QueryIR EliminateRedundantConjuncts(QueryIR ir,
   return ir;
 }
 
-QueryIR DropContradictedBranches(QueryIR ir, const ConstraintSet& constraints,
-                                 RewriteStats* stats) {
-  std::vector<BranchIR> kept;
-  kept.reserve(ir.branches.size());
-  for (BranchIR& branch : ir.branches) {
-    const AliasMap aliases = BuildAliasMap(branch.query);
-    if (ConjunctsUnsatisfiable(branch.query.where, aliases, constraints)) {
-      if (stats != nullptr) ++stats->branches_contradicted;
-      continue;
-    }
-    kept.push_back(std::move(branch));
-  }
-  ir.branches = std::move(kept);
-  return ir;
-}
-
 QueryIR MergeSubsumedBranches(QueryIR ir, RewriteStats* stats) {
   const size_t n = ir.branches.size();
   std::vector<BranchShape> shapes;
@@ -302,7 +286,6 @@ QueryIR MergeSubsumedBranches(QueryIR ir, RewriteStats* stats) {
 QueryIR OptimizeQueryIR(QueryIR ir, const ConstraintSet& constraints,
                         RewriteStats* stats) {
   ir = EliminateRedundantConjuncts(std::move(ir), constraints, stats);
-  ir = DropContradictedBranches(std::move(ir), constraints, stats);
   ir = MergeSubsumedBranches(std::move(ir), stats);
   return ir;
 }

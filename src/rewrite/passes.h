@@ -13,17 +13,19 @@ namespace cqp::rewrite {
 /// aliases' relations is provably unsatisfiable (some attribute's value
 /// range is empty). Join conjuncts are ignored (conservative); a provable
 /// contradiction means the conjunction returns zero rows on every
-/// constraint-valid database. This is the shared satisfiability core behind
-/// DropContradictedBranches and the pre-search preference pruning in
-/// space::ExtractPreferenceSpace.
+/// constraint-valid database. This is the one vacuity decision: the
+/// pre-search preference pruning in space::ExtractPreferenceSpace applies
+/// it to each candidate's branch, so no emitted branch is vacuous unless
+/// the caller turned pruning off or merged contradictory preferences —
+/// and then the empty answer is the right one.
 bool ConjunctsUnsatisfiable(const std::vector<sql::Predicate>& conjuncts,
                             const AliasMap& aliases,
                             const catalog::ConstraintSet& constraints);
 
-/// Pass 1 — conjunct redundancy elimination. Per branch, drops every
-/// conjunct implied by the remaining conjuncts plus the constraints:
-/// duplicates (selection or join, modulo the canonical mirror ordering),
-/// constraint tautologies (year >= 1900 under domain [1930, 2005]), and
+/// Conjunct redundancy elimination. Per branch, drops every conjunct
+/// implied by the remaining conjuncts plus the constraints: duplicates
+/// (selection or join, modulo the canonical mirror ordering), constraint
+/// tautologies (year >= 1900 under domain [1930, 2005]), and
 /// implication-constraint redundancies (rating >= 'PG' in a branch that
 /// already demands genre = 'horror' under horror ⇒ rating >= 'R').
 /// Result-preserving on constraint-valid data: an implied conjunct filters
@@ -32,22 +34,7 @@ QueryIR EliminateRedundantConjuncts(QueryIR ir,
                                     const catalog::ConstraintSet& constraints,
                                     RewriteStats* stats);
 
-/// Pass 2 — contradiction detection. Drops every branch whose conjunct set
-/// is unsatisfiable (on its own or against the constraints): the branch is
-/// vacuous — it returns zero rows on any constraint-valid database, so the
-/// preference it integrates cannot be delivered. Always drops whole
-/// branches, never the whole union: when every branch is contradicted the
-/// result has zero branches, which emits as the ORIGINAL query (the
-/// graceful degradation the fallback ladder also ends in). The pipeline
-/// never reaches that point — the pre-search pass prunes
-/// constraint-contradicted preferences before the search can choose them —
-/// so this pass is defense in depth for hand-built IRs.
-/// Counts into stats->branches_contradicted.
-QueryIR DropContradictedBranches(QueryIR ir,
-                                 const catalog::ConstraintSet& constraints,
-                                 RewriteStats* stats);
-
-/// Pass 3 — branch subsumption merging. When branch A's canonical FROM and
+/// Branch subsumption merging. When branch A's canonical FROM and
 /// conjunct sets are subsets of branch B's, A is the semantically WEAKER
 /// branch: rows(A) ⊇ rows(B), so under the intersection semantics of the
 /// rewriting A constrains nothing beyond B. A is dropped and folded into B
@@ -59,7 +46,9 @@ QueryIR DropContradictedBranches(QueryIR ir,
 QueryIR MergeSubsumedBranches(QueryIR ir, RewriteStats* stats);
 
 /// The standard pass order: redundancy elimination (exposes subsumption),
-/// contradiction detection, subsumption merging.
+/// then subsumption merging. Both preserve the result rows on every
+/// constraint-valid database, so the optimized and unoptimized emissions
+/// of one chosen set execute to the same rows.
 QueryIR OptimizeQueryIR(QueryIR ir, const catalog::ConstraintSet& constraints,
                         RewriteStats* stats);
 

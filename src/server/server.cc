@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/str_util.h"
 #include "space/prepared_space.h"
 
 namespace cqp::server {
@@ -71,6 +72,10 @@ AdmissionTotals Server::admission() const {
 Status Server::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return FailedPrecondition("server already running");
+  }
+  if (options_.default_max_k < 1 || options_.default_max_k >= 64) {
+    return InvalidArgument(StrFormat(
+        "default_max_k must be in [1, 63], got %zu", options_.default_max_k));
   }
   const size_t num_loops = ResolveIoThreads(options_.io_threads);
   stats_.ConfigureLoops(num_loops);
@@ -468,7 +473,6 @@ void Server::RunPersonalize(const std::shared_ptr<Connection>& conn,
 
   stats_.OnPlanLookup(r.plan_cache_hit);
   stats_.OnRewrite(r.personalized.rewrite.conjuncts_dropped,
-                   r.personalized.rewrite.branches_contradicted,
                    r.personalized.rewrite.branches_subsumed,
                    r.space != nullptr ? r.space->constraint_pruned : 0);
   stats_.OnRequestDone(/*ok=*/true, r.degraded(), latency_ms,

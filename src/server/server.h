@@ -55,7 +55,10 @@ struct ServerOptions {
   cqp::ProblemSpec default_problem = cqp::ProblemSpec::Problem2(400.0);
   /// Algorithm used when a request names none ("auto" = match objective).
   std::string default_algorithm = "auto";
-  /// Preference-space cap applied when a request sends no max_k.
+  /// Preference-space cap applied when a request sends no max_k. Must be
+  /// in [1, 63], the bound the wire enforces on a request's own max_k
+  /// (K < 64 keeps every served search on the bitmask batch path); Start()
+  /// rejects anything else.
   size_t default_max_k = 20;
 };
 

@@ -115,13 +115,10 @@ void ServerStats::OnPlanLookup(bool hit) {
 }
 
 void ServerStats::OnRewrite(uint64_t conjuncts_dropped,
-                            uint64_t branches_contradicted,
                             uint64_t branches_subsumed,
                             uint64_t prefs_pruned) {
   conjuncts_dropped_total_.fetch_add(conjuncts_dropped,
                                      std::memory_order_relaxed);
-  branches_contradicted_total_.fetch_add(branches_contradicted,
-                                         std::memory_order_relaxed);
   branches_subsumed_total_.fetch_add(branches_subsumed,
                                      std::memory_order_relaxed);
   prefs_pruned_total_.fetch_add(prefs_pruned, std::memory_order_relaxed);
@@ -164,14 +161,13 @@ JsonValue ServerStats::ToJson() const {
   JsonValue rewrite = JsonValue::Object();
   rewrite.Set("conjuncts_dropped",
               n(conjuncts_dropped_total_.load(std::memory_order_relaxed)));
-  rewrite.Set("branches_contradicted",
-              n(branches_contradicted_total_.load(std::memory_order_relaxed)));
-  rewrite.Set("branches_subsumed",
-              n(branches_subsumed_total_.load(std::memory_order_relaxed)));
-  rewrite.Set(
-      "branches_eliminated",
-      n(branches_contradicted_total_.load(std::memory_order_relaxed) +
-        branches_subsumed_total_.load(std::memory_order_relaxed)));
+  // Deprecated: the per-request contradiction pass is gone (pre-search
+  // pruning is the one vacuity decision); kept at 0 for protocol v1.
+  rewrite.Set("branches_contradicted", n(0));
+  const uint64_t subsumed =
+      branches_subsumed_total_.load(std::memory_order_relaxed);
+  rewrite.Set("branches_subsumed", n(subsumed));
+  rewrite.Set("branches_eliminated", n(subsumed));
   rewrite.Set("prefs_pruned",
               n(prefs_pruned_total_.load(std::memory_order_relaxed)));
   obj.Set("rewrite", std::move(rewrite));
@@ -206,7 +202,5 @@ JsonValue ServerStats::ToJson() const {
   }
   return obj;
 }
-
-std::string ServerStats::ToJsonString() const { return ToJson().Dump(); }
 
 }  // namespace cqp::server

@@ -81,10 +81,10 @@ class ServerStats {
 
   /// Semantic-rewrite work done by one successful request (docs/
   /// rewriting.md): conjuncts dropped as constraint-redundant, union
-  /// branches eliminated (contradicted or subsumed), and preference-space
-  /// candidates pruned before the search.
-  void OnRewrite(uint64_t conjuncts_dropped, uint64_t branches_contradicted,
-                 uint64_t branches_subsumed, uint64_t prefs_pruned);
+  /// branches merged away as subsumed, and preference-space candidates
+  /// pruned before the search.
+  void OnRewrite(uint64_t conjuncts_dropped, uint64_t branches_subsumed,
+                 uint64_t prefs_pruned);
 
   uint64_t requests_total() const {
     return requests_total_.load(std::memory_order_relaxed);
@@ -113,7 +113,6 @@ class ServerStats {
   /// Full JSON snapshot (the `.stats` wire command and the periodic log
   /// line both emit exactly this object — benches scrape it).
   JsonValue ToJson() const;
-  std::string ToJsonString() const;
 
  private:
   LatencyHistogram latency_;
@@ -132,7 +131,6 @@ class ServerStats {
   std::atomic<uint64_t> plan_misses_total_{0};
   std::atomic<uint64_t> states_total_{0};
   std::atomic<uint64_t> conjuncts_dropped_total_{0};
-  std::atomic<uint64_t> branches_contradicted_total_{0};
   std::atomic<uint64_t> branches_subsumed_total_{0};
   std::atomic<uint64_t> prefs_pruned_total_{0};
   /// unique_ptr: LoopStats holds atomics and cannot be moved on resize.

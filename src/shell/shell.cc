@@ -826,11 +826,9 @@ Status CqpShell::HandleQuery(const std::string& sql, bool execute,
   const rewrite::RewriteStats& rw = result.personalized.rewrite;
   if (rw.changed() || result.space->constraint_pruned > 0) {
     out << StrFormat(
-        "rewrite: %llu conjuncts dropped, %llu branches eliminated "
-        "(%llu contradicted, %llu subsumed), %llu candidates pruned\n",
+        "rewrite: %llu conjuncts dropped, %llu branches subsumed, "
+        "%llu candidates pruned\n",
         static_cast<unsigned long long>(rw.conjuncts_dropped),
-        static_cast<unsigned long long>(rw.branches_eliminated()),
-        static_cast<unsigned long long>(rw.branches_contradicted),
         static_cast<unsigned long long>(rw.branches_subsumed),
         static_cast<unsigned long long>(result.space->constraint_pruned));
   }

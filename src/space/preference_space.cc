@@ -184,35 +184,49 @@ StatusOr<PreferenceSpaceResult> ExtractPreferenceSpace(
   return result;
 }
 
-bool PreferenceContradictsQuery(const sql::SelectQuery& q,
-                                const ImplicitPreference& pref,
-                                const catalog::ConstraintSet& constraints) {
-  // Mirror construct::BuildSubQuery's shape without building it: the base
-  // FROM aliases plus one fresh alias per path relation, the base WHERE
-  // conjuncts plus the preference's final selection on the path tail (the
-  // join edges contribute nothing to the single-attribute range analysis).
-  rewrite::AliasMap aliases;
-  for (const sql::TableRef& t : q.from) {
-    aliases[ToUpper(t.EffectiveAlias())] = ToUpper(t.relation);
-  }
-  std::string tail_alias;
+StatusOr<sql::SelectQuery> BuildPreferenceBranch(
+    sql::SelectQuery q, const ImplicitPreference& pref, int ordinal) {
+  const sql::TableRef* anchor = nullptr;
   for (const sql::TableRef& t : q.from) {
     if (EqualsIgnoreCase(t.relation, pref.AnchorRelation())) {
-      tail_alias = ToUpper(t.EffectiveAlias());
+      anchor = &t;
       break;
     }
   }
-  if (tail_alias.empty()) return false;  // not related to Q; nothing to prove
-  for (size_t j = 0; j < pref.joins.size(); ++j) {
-    tail_alias = StrFormat("P%zu_%s", j,
-                           ToUpper(pref.joins[j].to_relation).c_str());
-    aliases[tail_alias] = ToUpper(pref.joins[j].to_relation);
+  if (anchor == nullptr) {
+    return InvalidArgument("preference anchor relation " +
+                           pref.AnchorRelation() +
+                           " does not appear in the query");
   }
-  std::vector<sql::Predicate> conjuncts = q.where;
-  conjuncts.push_back(sql::Predicate::Selection(
-      sql::ColumnRef{tail_alias, pref.selection.attribute}, pref.selection.op,
+  std::string prev_alias = anchor->EffectiveAlias();
+  for (const AtomicJoin& join : pref.joins) {
+    std::string alias =
+        StrFormat("p%d_%s", ordinal, ToLower(join.to_relation).c_str());
+    q.from.push_back(sql::TableRef{join.to_relation, alias});
+    q.where.push_back(sql::Predicate::Join(
+        sql::ColumnRef{prev_alias, join.from_attribute},
+        catalog::CompareOp::kEq, sql::ColumnRef{alias, join.to_attribute}));
+    prev_alias = std::move(alias);
+  }
+  q.where.push_back(sql::Predicate::Selection(
+      sql::ColumnRef{prev_alias, pref.selection.attribute}, pref.selection.op,
       pref.selection.value));
-  return rewrite::ConjunctsUnsatisfiable(conjuncts, aliases, constraints);
+  return q;
+}
+
+bool PreferenceContradictsQuery(const sql::SelectQuery& q,
+                                const ImplicitPreference& pref,
+                                const catalog::ConstraintSet& constraints) {
+  // Satisfiability reads only FROM (the alias map) and WHERE, so the
+  // projection and delivery clauses are left out of the copy.
+  sql::SelectQuery shape;
+  shape.from = q.from;
+  shape.where = q.where;
+  StatusOr<sql::SelectQuery> branch =
+      BuildPreferenceBranch(std::move(shape), pref, /*ordinal=*/1);
+  if (!branch.ok()) return false;  // not related to Q; nothing to prove
+  return rewrite::ConjunctsUnsatisfiable(
+      branch->where, rewrite::BuildAliasMap(*branch), constraints);
 }
 
 bool PrunedByProblem(const ScoredPreference& pref,

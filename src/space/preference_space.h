@@ -119,13 +119,24 @@ StatusOr<PreferenceSpaceResult> ExtractPreferenceSpace(
 bool PrunedByProblem(const estimation::ScoredPreference& pref,
                      const cqp::ProblemSpec& problem);
 
-/// True when integrating `pref` into `q` yields a union branch whose
-/// conjuncts (q's WHERE plus the preference's final selection, under the
-/// domain/implication constraints of the involved relations) are provably
-/// unsatisfiable — the branch would return zero rows on every
-/// constraint-valid database. Used by the pre-search pruning pass and
-/// exposed for the fuzz harness's vacuity oracle (a pruned preference's
-/// branch must execute to zero rows).
+/// Builds the §4.2 union branch that integrates `pref` into `q`: q's FROM
+/// plus a fresh alias p<ordinal>_<relation> per path relation, q's WHERE
+/// plus the path's join predicates and the final selection (on the path
+/// tail, or on the anchor for a join-free preference). The one branch
+/// builder: construct::BuildSubQuery emits what it returns and
+/// PreferenceContradictsQuery proves it vacuous, so the branch pruning
+/// checks is the branch construction builds. InvalidArgument when the
+/// preference's anchor relation is not in q's FROM.
+StatusOr<sql::SelectQuery> BuildPreferenceBranch(
+    sql::SelectQuery q, const prefs::ImplicitPreference& pref, int ordinal);
+
+/// True when the branch BuildPreferenceBranch(q, pref) builds has provably
+/// unsatisfiable conjuncts (rewrite::ConjunctsUnsatisfiable under the
+/// domain/implication constraints of the involved relations) — it would
+/// return zero rows on every constraint-valid database. The pre-search
+/// pruning pass's test, and the fuzz harness's vacuity oracle (a pruned
+/// preference's branch must execute to zero rows). False when `pref` is
+/// not anchored in q.
 bool PreferenceContradictsQuery(const sql::SelectQuery& q,
                                 const prefs::ImplicitPreference& pref,
                                 const catalog::ConstraintSet& constraints);

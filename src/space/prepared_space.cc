@@ -74,9 +74,4 @@ PreparedSpace::BatchForProblem(const cqp::ProblemSpec& problem) const {
   return batch;
 }
 
-size_t PreparedSpace::view_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return views_.size();
-}
-
 }  // namespace cqp::space

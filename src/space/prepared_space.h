@@ -62,9 +62,6 @@ class PreparedSpace {
   std::shared_ptr<const estimation::BatchEvaluator> BatchForProblem(
       const cqp::ProblemSpec& problem) const;
 
-  /// Number of distinct pruned views materialized so far (diagnostics).
-  size_t view_count() const;
-
  private:
   explicit PreparedSpace(PreferenceSpaceResult unpruned)
       : unpruned_(std::make_shared<const PreferenceSpaceResult>(

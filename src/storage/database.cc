@@ -26,12 +26,6 @@ StatusOr<const Table*> Database::GetTable(const std::string& name) const {
   return const_cast<const Table*>(it->second.get());
 }
 
-StatusOr<Table*> Database::GetMutableTable(const std::string& name) {
-  auto it = tables_.find(Key(name));
-  if (it == tables_.end()) return NotFound("table " + name);
-  return it->second.get();
-}
-
 bool Database::HasTable(const std::string& name) const {
   return tables_.count(Key(name)) > 0;
 }

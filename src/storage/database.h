@@ -32,7 +32,6 @@ class Database {
 
   /// Looks up a table; fails with NotFound.
   StatusOr<const Table*> GetTable(const std::string& name) const;
-  StatusOr<Table*> GetMutableTable(const std::string& name);
 
   bool HasTable(const std::string& name) const;
 

@@ -10,6 +10,7 @@
 #include "construct/personalizer.h"
 #include "exec/executor.h"
 #include "prefs/graph.h"
+#include "rewrite/passes.h"
 #include "space/preference_space.h"
 #include "sql/parser.h"
 #include "storage/constraints.h"
@@ -54,6 +55,37 @@ std::string DiffRowMaps(const RowMap& opt, const RowMap& unopt) {
     }
   }
   return "";
+}
+
+/// "" when the chosen set of `r`, emitted under `options` once optimized
+/// and once unoptimized, executes to the same rows; else the difference.
+std::string DiffEmissions(const storage::Database& db,
+                          const construct::Personalizer& personalizer,
+                          const construct::PersonalizeResult& r,
+                          construct::BuildOptions options) {
+  const IndexSet chosen = r.solution.feasible ? r.solution.chosen : IndexSet();
+  construct::PersonalizeResult opt;  // Execute reads only `personalized`
+  construct::PersonalizeResult unopt;
+  options.optimize = true;
+  auto built_opt = construct::BuildPersonalizedQuery(
+      db, r.space->query, r.space->prefs, chosen, options);
+  options.optimize = false;
+  auto built_unopt = construct::BuildPersonalizedQuery(
+      db, r.space->query, r.space->prefs, chosen, options);
+  if (!built_opt.ok() || !built_unopt.ok()) {
+    return "emission: " + (built_opt.ok() ? built_unopt.status().ToString()
+                                          : built_opt.status().ToString());
+  }
+  opt.personalized = *std::move(built_opt);
+  unopt.personalized = *std::move(built_unopt);
+  exec::ExecStats stats;
+  auto rows_opt = personalizer.Execute(opt, &stats);
+  auto rows_unopt = personalizer.Execute(unopt, &stats);
+  if (!rows_opt.ok() || !rows_unopt.ok()) {
+    return "execution: " + (rows_opt.ok() ? rows_unopt.status().ToString()
+                                          : rows_opt.status().ToString());
+  }
+  return DiffRowMaps(ToRowMap(*rows_opt), ToRowMap(*rows_unopt));
 }
 
 std::string DiffAnswers(const construct::PersonalizeResult& a,
@@ -166,52 +198,42 @@ RewriteCheckResult RunRewriteCheck(const RewriteCheckConfig& config) {
       }
       ++result.requests;
       result.conjuncts_dropped += r->personalized.rewrite.conjuncts_dropped;
-      result.branches_eliminated +=
-          r->personalized.rewrite.branches_eliminated();
+      result.branches_subsumed += r->personalized.rewrite.branches_subsumed;
       result.prefs_pruned += r->space->constraint_pruned;
 
       // ---- Obligation 1: metamorphic emission equivalence. ----
       // The pre-search pruning legitimately changes WHICH solution the
       // search picks, so the comparison fixes the solution: the same chosen
-      // subset is re-emitted with the optimizer off, and both rewritings
-      // must execute to the same personalized result set.
+      // subset is emitted optimized and unoptimized — one branch per
+      // preference, and with the join-free ones merged (footnote 1) — and
+      // each pair must execute to the same personalized result set.
       if (config.check_equivalence) {
-        construct::BuildOptions unopt_options = request.build_options;
-        unopt_options.optimize = false;
-        auto unopt = construct::BuildPersonalizedQuery(
-            *db, r->space->query, r->space->prefs,
-            r->solution.feasible ? r->solution.chosen : IndexSet(),
-            unopt_options);
-        if (!unopt.ok()) {
-          report.Add("rewrite-equivalence", label,
-                     "unoptimized emission: " +
-                         std::string(unopt.status().message()));
-        } else {
-          exec::ExecStats stats;
-          auto rows_opt = personalizer.Execute(*r, &stats);
-          construct::PersonalizeResult unopt_result = *r;
-          unopt_result.personalized = *std::move(unopt);
-          auto rows_unopt = personalizer.Execute(unopt_result, &stats);
-          if (!rows_opt.ok() || !rows_unopt.ok()) {
-            report.Add("rewrite-equivalence", label,
-                       "execution: " +
-                           (rows_opt.ok() ? rows_unopt.status().ToString()
-                                          : rows_opt.status().ToString()));
-          } else {
-            std::string diff =
-                DiffRowMaps(ToRowMap(*rows_opt), ToRowMap(*rows_unopt));
-            if (!diff.empty()) {
-              report.Add("rewrite-equivalence", label, diff);
-            }
+        for (bool merge : {false, true}) {
+          construct::BuildOptions options = request.build_options;
+          options.merge_compatible = merge;
+          std::string diff = DiffEmissions(*db, personalizer, *r, options);
+          if (!diff.empty()) {
+            report.Add("rewrite-equivalence",
+                       merge ? label + "/merged" : label, diff);
           }
         }
       }
 
-      // ---- Obligation 2: the vacuity oracle. ----
-      // Re-extract without pruning, flag each candidate the pruning pass
+      // ---- Obligation 2: pruning is the one vacuity decision. ----
+      // Complete: no branch the pipeline emits is provably vacuous — one
+      // would empty the answer, and nothing after pruning drops it. Sound:
+      // re-extract without pruning, flag each candidate the pruning pass
       // would reject, and require its actual sub-query to return zero rows.
       // A single row would prove the contradiction detector unsound.
       if (config.check_vacuity) {
+        for (const sql::SelectQuery& branch : r->personalized.subqueries) {
+          if (rewrite::ConjunctsUnsatisfiable(branch.where,
+                                              rewrite::BuildAliasMap(branch),
+                                              db->constraints())) {
+            report.Add("rewrite-vacuity", label,
+                       "emitted branch is unsatisfiable: " + branch.ToSql());
+          }
+        }
         auto parsed = sql::ParseSelect(request.sql);
         if (!parsed.ok()) {
           report.Add("rewrite-vacuity", label,

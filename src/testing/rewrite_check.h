@@ -16,14 +16,18 @@ struct RewriteCheckConfig {
   size_t n_queries = 5;
   size_t n_profiles = 2;
   size_t max_k = 10;
-  /// Metamorphic equivalence: for every request, re-emit the SAME chosen
-  /// solution with the optimizer off and require the executed result sets to
+  /// Metamorphic equivalence: for every request, emit the SAME chosen
+  /// solution optimized and unoptimized, both unmerged and with
+  /// merge_compatible, and require each pair's executed result sets to
   /// match row for row (dois within 1e-9 — noisy-or regrouping is the only
   /// permitted difference).
   bool check_equivalence = true;
-  /// Vacuity oracle: every preference the pre-search pruning pass would
-  /// reject must build a sub-query that executes to ZERO rows on the
-  /// (constraint-valid, because constraints were mined from it) data.
+  /// Vacuity: no branch of the pipeline's emission is
+  /// rewrite::ConjunctsUnsatisfiable (pruning is the only contradiction
+  /// check, so it must be complete), and every preference the pre-search
+  /// pruning pass would reject must build a sub-query that executes to
+  /// ZERO rows on the (constraint-valid, because constraints were mined
+  /// from it) data.
   bool check_vacuity = true;
   /// Constraint-revision invalidation: SetConstraints() must detach cached
   /// plans (next Prepare misses) and the re-solve under identical
@@ -35,7 +39,7 @@ struct RewriteCheckResult {
   CheckReport report;
   size_t requests = 0;          ///< personalization requests checked
   uint64_t conjuncts_dropped = 0;
-  uint64_t branches_eliminated = 0;
+  uint64_t branches_subsumed = 0;
   uint64_t prefs_pruned = 0;    ///< candidates rejected pre-search
   uint64_t vacuity_probes = 0;  ///< pruned-candidate zero-row executions
 };

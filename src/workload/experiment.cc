@@ -132,14 +132,6 @@ StatusOr<std::map<std::string, AlgoAggregate>> RunImpl(
 
 }  // namespace
 
-StatusOr<std::map<std::string, AlgoAggregate>> RunAlgorithms(
-    const std::vector<Instance>& instances, const cqp::ProblemSpec& problem,
-    const std::vector<std::string>& algorithm_names,
-    const std::string& reference_algorithm) {
-  std::vector<cqp::ProblemSpec> problems(instances.size(), problem);
-  return RunImpl(instances, problems, algorithm_names, reference_algorithm);
-}
-
 StatusOr<std::map<std::string, AlgoAggregate>> RunAlgorithmsAtFraction(
     const std::vector<Instance>& instances, double supreme_fraction,
     const std::vector<std::string>& algorithm_names,

@@ -82,17 +82,11 @@ struct AlgoAggregate {
   size_t infeasible = 0;
 };
 
-/// Runs `algorithm_names` on every instance under `problem` and aggregates.
-/// If `reference_algorithm` is non-empty it is solved first per instance
-/// and used as the quality reference.
-StatusOr<std::map<std::string, AlgoAggregate>> RunAlgorithms(
-    const std::vector<Instance>& instances, const cqp::ProblemSpec& problem,
-    const std::vector<std::string>& algorithm_names,
-    const std::string& reference_algorithm);
-
-/// Like RunAlgorithms, but with a per-instance cost bound of
-/// `supreme_fraction` × the instance's Supreme Cost (Fig. 12(c)/(d),
-/// 13(b), 14(b)).
+/// Runs `algorithm_names` on every instance under Problem 2 with a
+/// per-instance cost bound of `supreme_fraction` × the instance's Supreme
+/// Cost (Fig. 12(c)/(d), 13(b), 14(b)), and aggregates. If
+/// `reference_algorithm` is non-empty it is solved first per instance and
+/// used as the quality reference.
 StatusOr<std::map<std::string, AlgoAggregate>> RunAlgorithmsAtFraction(
     const std::vector<Instance>& instances, double supreme_fraction,
     const std::vector<std::string>& algorithm_names,

@@ -268,35 +268,6 @@ TEST(EliminateRedundantConjunctsTest, DropsImplicationRedundantConjunct) {
   EXPECT_EQ(stats.conjuncts_dropped, 1u);
 }
 
-TEST(DropContradictedBranchesTest, DropsOnlyTheContradictedBranch) {
-  QueryIR ir = MakeIR(
-      "SELECT MOVIE.title FROM MOVIE",
-      {MakeBranch("SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year >= 2100",
-                  {0}, 0.7),
-       MakeBranch("SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year >= 1970",
-                  {1}, 0.6)});
-  RewriteStats stats;
-  ir = DropContradictedBranches(std::move(ir), HorrorConstraints(), &stats);
-  ASSERT_EQ(ir.branches.size(), 1u);
-  EXPECT_EQ(ir.branches[0].prefs, std::vector<int32_t>{1});
-  EXPECT_EQ(stats.branches_contradicted, 1u);
-}
-
-TEST(DropContradictedBranchesTest, AllContradictedLeavesZeroBranches) {
-  // Dropping every branch is legal: zero branches IS the original query,
-  // never an empty union.
-  QueryIR ir = MakeIR(
-      "SELECT MOVIE.title FROM MOVIE",
-      {MakeBranch("SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year >= 2100",
-                  {0}, 0.7),
-       MakeBranch("SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year <= 1900",
-                  {1}, 0.6)});
-  RewriteStats stats;
-  ir = DropContradictedBranches(std::move(ir), HorrorConstraints(), &stats);
-  EXPECT_TRUE(ir.branches.empty());
-  EXPECT_EQ(stats.branches_contradicted, 2u);
-}
-
 TEST(MergeSubsumedBranchesTest, WeakerBranchFoldsIntoStronger) {
   // Branch 0's conjuncts are a strict subset of branch 1's, so branch 0 is
   // the weaker filter: it survives as merged preference indices and a
@@ -431,6 +402,23 @@ class RewritePipelineTest : public ::testing::Test {
         *prefs::PersonalizationGraph::Build(std::move(profile), db_));
   }
 
+  /// Executes `qx` (the base query when it has no branch) and returns its
+  /// rows as sorted text.
+  std::vector<std::string> Rows(const construct::PersonalizedQuery& qx) {
+    auto no_profile = Graph("");
+    construct::PersonalizeResult result;
+    result.personalized = qx;
+    exec::ExecStats stats;
+    auto rows = *construct::Personalizer(&db_, no_profile.get())
+                     .Execute(result, &stats);
+    std::vector<std::string> out;
+    for (const exec::PersonalizedRow& row : rows.rows) {
+      out.push_back(row.row.ToString());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
   storage::Database db_;
 };
 
@@ -492,25 +480,6 @@ TEST_F(RewritePipelineTest, EmptyAfterPruningDegradesToOriginalQuery) {
   EXPECT_EQ(r->final_sql, canon.ToSql());
 }
 
-TEST_F(RewritePipelineTest, DisableRewriteTogglesBothHalves) {
-  auto graph = Graph(R"(
-      doi(MOVIE.year >= 2100) = 0.7
-      doi(MOVIE.year >= 1970) = 0.6
-  )");
-  construct::Personalizer personalizer(&db_, graph.get());
-
-  construct::PersonalizeRequest request;
-  request.sql = "SELECT title FROM MOVIE";
-  request.problem = cqp::ProblemSpec::Problem2(1e9);
-  request.algorithm = "auto";
-  request.disable_rewrite = true;
-  auto r = personalizer.Personalize(request);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->space->constraint_pruned, 0u);
-  EXPECT_EQ(r->space->K(), 2u);
-  EXPECT_FALSE(r->personalized.rewrite.changed());
-}
-
 TEST_F(RewritePipelineTest, ConstraintRevisionInvalidatesPlanCache) {
   auto graph = Graph(R"(
       doi(MOVIE.year >= 1970) = 0.6
@@ -551,23 +520,60 @@ TEST_F(RewritePipelineTest, ConstraintRevisionInvalidatesPlanCache) {
   EXPECT_TRUE(rewarm->plan_cache_hit);
 }
 
-TEST_F(RewritePipelineTest, AllBranchesContradictedEmitsBaseQuery) {
-  // Defense in depth: hand the builder a chosen preference whose branch is
-  // contradicted by the constraints. The contradiction pass drops it and
-  // the emitter degrades to the original query — never an empty union.
+TEST_F(RewritePipelineTest, MergedContradictionKeepsItsEmptyAnswer) {
+  // year >= 1990 and year <= 1960 are each satisfiable, but merged into one
+  // branch (footnote 1) they contradict each other: the answer is empty,
+  // optimized or not, merged or not.
   auto q = *ParseSelect("SELECT title FROM MOVIE");
-  std::vector<estimation::ScoredPreference> prefs(1);
+  std::vector<estimation::ScoredPreference> prefs(2);
   prefs[0].pref.selection = prefs::AtomicSelection{
-      "MOVIE", "year", CompareOp::kGe, Value(int64_t{2100}), 0.7};
+      "MOVIE", "year", CompareOp::kGe, Value(int64_t{1990}), 0.7};
   prefs[0].doi = 0.7;
-  IndexSet chosen{0};
+  prefs[1].pref.selection = prefs::AtomicSelection{
+      "MOVIE", "year", CompareOp::kLe, Value(int64_t{1960}), 0.6};
+  prefs[1].doi = 0.6;
+  const IndexSet chosen{0, 1};
 
-  auto built = construct::BuildPersonalizedQuery(db_, q, prefs, chosen);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_EQ(built->L(), 0u);
-  EXPECT_EQ(built->rewrite.branches_contradicted, 1u);
-  auto canon = *construct::CanonicalizeSelectList(db_, q);
-  EXPECT_EQ(built->ToSql(), canon.ToSql());
+  construct::BuildOptions merged;
+  merged.merge_compatible = true;
+  construct::BuildOptions merged_unoptimized = merged;
+  merged_unoptimized.optimize = false;
+  auto optimized = *construct::BuildPersonalizedQuery(db_, q, prefs, chosen,
+                                                      merged);
+  EXPECT_EQ(optimized.L(), 1u);
+  const std::vector<std::string> rows = Rows(optimized);
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(rows, Rows(*construct::BuildPersonalizedQuery(
+                      db_, q, prefs, chosen, merged_unoptimized)));
+  EXPECT_EQ(rows, Rows(*construct::BuildPersonalizedQuery(db_, q, prefs,
+                                                          chosen)));
+}
+
+TEST_F(RewritePipelineTest, UnprunedVacuousBranchKeepsItsEmptyAnswer) {
+  // Pruning off, the search may choose doi(year >= 2100), which the mined
+  // domain [1958, 1996] contradicts. Re-emitting that solution through the
+  // optimizer must not turn its empty answer into rows.
+  auto graph = Graph(R"(
+      doi(MOVIE.year >= 2100) = 0.7
+      doi(MOVIE.year >= 1970) = 0.6
+  )");
+  construct::Personalizer personalizer(&db_, graph.get());
+  construct::PersonalizeRequest request;
+  request.sql = "SELECT title FROM MOVIE";
+  request.problem = cqp::ProblemSpec::Problem2(1e9);
+  request.algorithm = "auto";
+  request.space_options.constraint_prune = false;
+  request.build_options.optimize = false;
+  auto r = personalizer.Personalize(request);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->space->K(), 2u);
+  ASSERT_TRUE(r->solution.chosen.Contains(0));
+
+  auto optimized = *construct::BuildPersonalizedQuery(
+      db_, r->space->query, r->space->prefs, r->solution.chosen);
+  const std::vector<std::string> rows = Rows(optimized);
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(rows, Rows(r->personalized));
 }
 
 }  // namespace

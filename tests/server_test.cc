@@ -126,6 +126,11 @@ TEST_F(ServerTest, PingStatsAndProfiles) {
   ASSERT_NE(journal, nullptr);
   EXPECT_EQ(journal->Find("fsyncs")->number_value(), 0.0);
   EXPECT_EQ(journal->Find("group_commits")->number_value(), 0.0);
+  // Deprecated too: kept at 0 for protocol v1 readers.
+  EXPECT_EQ(snapshot->extra.Find("rewrite")
+                ->Find("branches_contradicted")
+                ->number_value(),
+            0.0);
   const JsonValue* tier = snapshot->extra.Find("shard_tier");
   ASSERT_NE(tier, nullptr);
   EXPECT_EQ(tier->Find("shards")->number_value(), 1.0);
@@ -302,6 +307,26 @@ TEST_F(ServerTest, UnknownProfileIsNotFound) {
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response->ok());
   EXPECT_EQ(response->status.code(), StatusCode::kNotFound);
+}
+
+TEST_F(ServerTest, StartRejectsADefaultMaxKTheWireWouldRefuse) {
+  // A request's own max_k must be in [0, 63] (0 = the default), so the
+  // default itself must be in [1, 63].
+  profiles_ = std::make_unique<ProfileStore>(&db_);
+  for (size_t k : {size_t{0}, size_t{64}, size_t{1000}}) {
+    ServerOptions options;
+    options.port = 0;
+    options.default_max_k = k;
+    Server server(&db_, profiles_.get(), options);
+    Status started = server.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << k;
+  }
+  ServerOptions options;
+  options.default_max_k = 63;
+  StartServer(options);
+  auto response = Connect().Call(PersonalizeRequestFor(kQuery));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->ok()) << response->status.ToString();
 }
 
 TEST_F(ServerTest, ZeroCapacityShedsEveryRequestExplicitly) {

@@ -285,7 +285,7 @@ int RunRewrite(const Args& args) {
   uint64_t seeds = (args.count + per_seed - 1) / per_seed;
   if (seeds == 0) seeds = 1;
   size_t requests = 0;
-  uint64_t conjuncts_dropped = 0, branches_eliminated = 0, prefs_pruned = 0,
+  uint64_t conjuncts_dropped = 0, branches_subsumed = 0, prefs_pruned = 0,
            vacuity_probes = 0;
   int failures = 0;
   for (uint64_t s = 0; s < seeds; ++s) {
@@ -294,7 +294,7 @@ int RunRewrite(const Args& args) {
         cqp::testing::RunRewriteCheck(config);
     requests += result.requests;
     conjuncts_dropped += result.conjuncts_dropped;
-    branches_eliminated += result.branches_eliminated;
+    branches_subsumed += result.branches_subsumed;
     prefs_pruned += result.prefs_pruned;
     vacuity_probes += result.vacuity_probes;
     if (!result.report.ok()) {
@@ -316,11 +316,11 @@ int RunRewrite(const Args& args) {
   }
   std::printf(
       "rewrite sweep: %llu seeds, %zu requests, %llu conjuncts dropped, "
-      "%llu branches eliminated, %llu candidates pruned "
+      "%llu branches subsumed, %llu candidates pruned "
       "(%llu vacuity probes), %d failing\n",
       static_cast<unsigned long long>(seeds), requests,
       static_cast<unsigned long long>(conjuncts_dropped),
-      static_cast<unsigned long long>(branches_eliminated),
+      static_cast<unsigned long long>(branches_subsumed),
       static_cast<unsigned long long>(prefs_pruned),
       static_cast<unsigned long long>(vacuity_probes), failures);
   return failures;

@@ -137,7 +137,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--cmax" && next(&value)) {
       flags->cmax_ms = value;
     } else if (arg == "--k" && next(&value)) {
-      flags->max_k = static_cast<size_t>(value);
+      // Server::Start rejects a K outside [1, 63]; a value the cast cannot
+      // represent (negative, huge, NaN) becomes 0 so that check reports it.
+      flags->max_k = value >= 0 && value < 1e9 ? static_cast<size_t>(value) : 0;
     } else if (arg == "--data-dir" && i + 1 < argc) {
       flags->data_dir = argv[++i];
     } else if (arg == "--compact-mb" && next(&value)) {
