@@ -104,30 +104,18 @@ std::string AugmentProfile(const std::string& profile_text,
   return out;
 }
 
-/// Estimated cost/size of executing the emitted rewriting: every UNION ALL
+/// Estimated cost of executing the emitted rewriting: every UNION ALL
 /// branch runs, or the base query when no preference was integrated.
-struct QxEstimate {
-  double cost_ms = 0.0;
-  double size = 0.0;
-};
-
-QxEstimate EstimateQx(const estimation::ParameterEstimator& estimator,
-                      const construct::PersonalizedQuery& qx) {
-  QxEstimate total;
+double EstimateQxCostMs(const estimation::ParameterEstimator& estimator,
+                        const construct::PersonalizedQuery& qx) {
   if (qx.L() == 0) {
     auto base = estimator.EstimateBase(qx.base);
-    if (base.ok()) {
-      total.cost_ms = base->cost_ms;
-      total.size = base->size;
-    }
-    return total;
+    return base.ok() ? base->cost_ms : 0.0;
   }
+  double total = 0.0;
   for (const sql::SelectQuery& branch : qx.subqueries) {
     auto est = estimator.EstimateBase(branch);
-    if (est.ok()) {
-      total.cost_ms += est->cost_ms;
-      total.size += est->size;
-    }
+    if (est.ok()) total += est->cost_ms;
   }
   return total;
 }
@@ -138,8 +126,6 @@ struct CellAccum {
   double k_pruned = 0.0;
   double cost_baseline_ms = 0.0;
   double cost_qx_ms = 0.0;
-  double size_baseline = 0.0;
-  double size_qx = 0.0;
   uint64_t conjuncts_dropped = 0;
   uint64_t branches_eliminated = 0;
   uint64_t prefs_pruned = 0;
@@ -164,10 +150,6 @@ JsonValue CellToJson(const std::string& budget, const CellAccum& cell) {
   out.Set("cost_reduction_pct",
           JsonValue::Number(
               ReductionPct(cell.cost_baseline_ms, cell.cost_qx_ms)));
-  out.Set("size_baseline", JsonValue::Number(cell.size_baseline / n));
-  out.Set("size_qx", JsonValue::Number(cell.size_qx / n));
-  out.Set("size_reduction_pct",
-          JsonValue::Number(ReductionPct(cell.size_baseline, cell.size_qx)));
   out.Set("conjuncts_dropped",
           JsonValue::Number(static_cast<double>(cell.conjuncts_dropped)));
   out.Set("branches_eliminated",
@@ -302,12 +284,9 @@ int Run(bool smoke, const std::string& json_path) {
         ++cell.requests;
         cell.k_baseline += static_cast<double>(baseline->space->K());
         cell.k_pruned += static_cast<double>(rewritten->space->K());
-        QxEstimate base_qx = EstimateQx(estimator, baseline->personalized);
-        QxEstimate rewrite_qx = EstimateQx(estimator, *reopt);
-        cell.cost_baseline_ms += base_qx.cost_ms;
-        cell.cost_qx_ms += rewrite_qx.cost_ms;
-        cell.size_baseline += base_qx.size;
-        cell.size_qx += rewrite_qx.size;
+        cell.cost_baseline_ms +=
+            EstimateQxCostMs(estimator, baseline->personalized);
+        cell.cost_qx_ms += EstimateQxCostMs(estimator, *reopt);
         cell.conjuncts_dropped += reopt->rewrite.conjuncts_dropped;
         cell.branches_eliminated += reopt->rewrite.branches_subsumed;
         cell.prefs_pruned += rewritten->space->constraint_pruned;

@@ -36,8 +36,8 @@ HIGHER_IS_BETTER = {"qps", "ok", "puts_per_sec", "records_per_sec",
                     # removes, and its raw activity counters (the workload
                     # is seeded, so fewer drops means the passes got weaker).
                     "k_reduction_pct", "cost_reduction_pct",
-                    "size_reduction_pct", "conjuncts_dropped",
-                    "branches_eliminated", "prefs_pruned"}
+                    "conjuncts_dropped", "branches_eliminated",
+                    "prefs_pruned"}
 # Metrics where a HIGHER working-tree value is a regression. Latencies are
 # a median and a tail (`<prefix>p50_ms`, `<prefix>tail_ms`).
 LOWER_IS_BETTER = {"p50_ms", "tail_ms", "put_p50_ms", "put_tail_ms",
@@ -60,7 +60,7 @@ IGNORED = {"n", "put_n", "cold_n", "requests", "journal_bytes",
            # Rewrite bench: the unoptimized side of each delta (tracks the
            # generated workload, judged only through the *_reduction_pct
            # and the post-rewrite metrics above).
-           "k_baseline", "cost_baseline_ms", "size_baseline", "size_qx"}
+           "k_baseline", "cost_baseline_ms"}
 
 
 def cell_identity(cell):

@@ -321,12 +321,30 @@ StatusOr<PersonalizeResult> Personalizer::SolveResolved(
     result.rung = FallbackRung::kOriginal;
   }
 
+  const IndexSet chosen =
+      result.solution.feasible ? result.solution.chosen : IndexSet();
+  // The rewrite analyses of the view's branches are fixed by the prepared
+  // plan and the constraint revision, so they ride on the PreparedSpace
+  // beside the batch evaluator; BuildPersonalizedQuery decides whether this
+  // request's query may reuse them.
+  std::shared_ptr<const rewrite::ViewAnalysis> analysis;
+  if (!chosen.empty() && request.build_options.optimize &&
+      !request.build_options.merge_compatible) {
+    analysis = prepared.space->AnalysisForProblem(
+        request.problem, db_->constraint_revision(),
+        [this](const space::PreferenceSpaceResult& v)
+            -> std::shared_ptr<const rewrite::ViewAnalysis> {
+          StatusOr<rewrite::ViewAnalysis> built =
+              AnalyzeViewBranches(*db_, v.query, v.prefs);
+          if (!built.ok()) return nullptr;
+          return std::make_shared<const rewrite::ViewAnalysis>(
+              *std::move(built));
+        });
+  }
   CQP_ASSIGN_OR_RETURN(
       result.personalized,
-      BuildPersonalizedQuery(*db_, prepared.query, view.prefs,
-                             result.solution.feasible ? result.solution.chosen
-                                                      : IndexSet(),
-                             request.build_options));
+      BuildPersonalizedQuery(*db_, prepared.query, view.prefs, chosen,
+                             request.build_options, analysis.get()));
   result.final_sql = result.personalized.ToSql();
   return result;
 }

@@ -1,6 +1,8 @@
 #include "construct/query_builder.h"
 
-#include <map>
+#include <cctype>
+#include <string>
+#include <utility>
 
 #include "common/str_util.h"
 #include "prefs/doi.h"
@@ -15,6 +17,49 @@ using prefs::ImplicitPreference;
 using sql::ColumnRef;
 using sql::SelectQuery;
 using sql::TableRef;
+
+/// `canonical` (a CanonicalizeSelectList result) as the common start of
+/// every branch. ORDER BY / LIMIT belong to result delivery, not to the
+/// union's inputs (a LIMIT inside a sub-query would change which rows can
+/// intersect). The personalized result is doi-ranked; the base LIMIT is
+/// re-applied by Personalizer::Execute after ranking.
+SelectQuery BranchBase(SelectQuery canonical) {
+  canonical.order_by.clear();
+  canonical.limit.reset();
+  return canonical;
+}
+
+/// True when `name` reads p<N>_..., the spelling of the fresh aliases
+/// space::BuildPreferenceBranch adds.
+bool SpelledLikeFreshAlias(const std::string& name) {
+  if (name.empty() || (name[0] != 'p' && name[0] != 'P')) return false;
+  size_t i = 1;
+  while (i < name.size() && std::isdigit(static_cast<unsigned char>(name[i]))) {
+    ++i;
+  }
+  return i > 1 && i < name.size() && name[i] == '_';
+}
+
+/// True when a relation, alias or qualifier of `q` could equal a fresh
+/// alias. Analyses built with other ordinals then need not hold for q's
+/// branches.
+bool UsesFreshAliasSpelling(const SelectQuery& q) {
+  for (const TableRef& t : q.from) {
+    if (SpelledLikeFreshAlias(t.relation) || SpelledLikeFreshAlias(t.alias)) {
+      return true;
+    }
+  }
+  for (const ColumnRef& c : q.select_list) {
+    if (SpelledLikeFreshAlias(c.qualifier)) return true;
+  }
+  for (const sql::Predicate& p : q.where) {
+    if (SpelledLikeFreshAlias(p.lhs.qualifier) ||
+        SpelledLikeFreshAlias(p.rhs.qualifier)) {
+      return true;
+    }
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -60,20 +105,17 @@ StatusOr<SelectQuery> BuildSubQuery(const storage::Database& db,
                                     const SelectQuery& base,
                                     const ImplicitPreference& pref,
                                     int ordinal) {
-  CQP_ASSIGN_OR_RETURN(SelectQuery sub, CanonicalizeSelectList(db, base));
-  // ORDER BY / LIMIT belong to result delivery, not to the union's inputs
-  // (a LIMIT inside a sub-query would change which rows can intersect).
-  // The personalized result is doi-ranked; the base LIMIT is re-applied by
-  // Personalizer::Execute after ranking.
-  sub.order_by.clear();
-  sub.limit.reset();
-  return space::BuildPreferenceBranch(std::move(sub), pref, ordinal);
+  CQP_ASSIGN_OR_RETURN(SelectQuery canonical,
+                       CanonicalizeSelectList(db, base));
+  return space::BuildPreferenceBranch(BranchBase(std::move(canonical)), pref,
+                                      ordinal);
 }
 
 StatusOr<PersonalizedQuery> BuildPersonalizedQuery(
     const storage::Database& db, const SelectQuery& base,
     const std::vector<estimation::ScoredPreference>& prefs,
-    const IndexSet& chosen, const BuildOptions& options) {
+    const IndexSet& chosen, const BuildOptions& options,
+    const rewrite::ViewAnalysis* analysis) {
   PersonalizedQuery out;
   CQP_ASSIGN_OR_RETURN(out.base, CanonicalizeSelectList(db, base));
 
@@ -91,54 +133,88 @@ StatusOr<PersonalizedQuery> BuildPersonalizedQuery(
   }
   if (!mergeable.empty()) groups.push_back(std::move(mergeable));
 
+  const SelectQuery branch_base = BranchBase(out.base);
+  std::vector<rewrite::BranchIR> branches;
+  branches.reserve(groups.size());
   int ordinal = 0;
-  for (const std::vector<int32_t>& group : groups) {
+  for (std::vector<int32_t>& group : groups) {
     ++ordinal;
     // Build the sub-query for the first member, then AND in the remaining
     // members' conditions (they are join-free by construction of groups
     // with more than one member, so each adds only its selection).
-    const ImplicitPreference& first =
-        prefs[static_cast<size_t>(group[0])].pref;
-    CQP_ASSIGN_OR_RETURN(SelectQuery sub,
-                         BuildSubQuery(db, base, first, ordinal));
+    rewrite::BranchIR branch;
+    CQP_ASSIGN_OR_RETURN(
+        branch.query,
+        space::BuildPreferenceBranch(
+            branch_base, prefs[static_cast<size_t>(group[0])].pref, ordinal));
     std::vector<double> dois{prefs[static_cast<size_t>(group[0])].doi};
     for (size_t m = 1; m < group.size(); ++m) {
-      const ImplicitPreference& extra =
-          prefs[static_cast<size_t>(group[m])].pref;
-      CQP_ASSIGN_OR_RETURN(
-          sub, space::BuildPreferenceBranch(std::move(sub), extra, ordinal));
-      dois.push_back(prefs[static_cast<size_t>(group[m])].doi);
+      const estimation::ScoredPreference& extra =
+          prefs[static_cast<size_t>(group[m])];
+      CQP_ASSIGN_OR_RETURN(branch.query,
+                           space::BuildPreferenceBranch(
+                               std::move(branch.query), extra.pref, ordinal));
+      dois.push_back(extra.doi);
     }
-    out.subqueries.push_back(std::move(sub));
-    out.subquery_prefs.push_back(group);
-    out.dois.push_back(
-        prefs::CombineConjunctionDoi(dois, prefs::ConjunctionModel::kNoisyOr));
+    branch.prefs = std::move(group);
+    branch.doi =
+        prefs::CombineConjunctionDoi(dois, prefs::ConjunctionModel::kNoisyOr);
+    branches.push_back(std::move(branch));
   }
 
-  if (options.optimize && !out.subqueries.empty()) {
-    rewrite::QueryIR ir;
-    ir.base = out.base;
-    ir.branches.reserve(out.subqueries.size());
-    for (size_t b = 0; b < out.subqueries.size(); ++b) {
-      rewrite::BranchIR branch;
-      branch.query = out.subqueries[b];
-      branch.prefs = out.subquery_prefs[b];
-      branch.doi = out.dois[b];
-      ir.branches.push_back(std::move(branch));
-    }
-    rewrite::RewriteStats stats;
-    ir = rewrite::OptimizeQueryIR(std::move(ir), db.constraints(), &stats);
-    if (stats.changed()) {
-      out.subqueries.clear();
-      out.subquery_prefs.clear();
-      out.dois.clear();
-      for (rewrite::BranchIR& branch : ir.branches) {
-        out.subqueries.push_back(std::move(branch.query));
-        out.subquery_prefs.push_back(std::move(branch.prefs));
-        out.dois.push_back(branch.doi);
+  if (options.optimize && !branches.empty()) {
+    const bool reuse = analysis != nullptr && !options.merge_compatible &&
+                       analysis->branches.size() == prefs.size() &&
+                       !UsesFreshAliasSpelling(base) &&
+                       analysis->query_sql == base.ToSql();
+    std::vector<rewrite::BranchAnalysis> own;
+    std::vector<const rewrite::BranchAnalysis*> analyses;
+    analyses.reserve(branches.size());
+    if (reuse) {
+      for (const rewrite::BranchIR& branch : branches) {
+        analyses.push_back(
+            &analysis->branches[static_cast<size_t>(branch.prefs[0])]);
+      }
+    } else {
+      rewrite::ShapeInterner interner;
+      own.reserve(branches.size());
+      for (const rewrite::BranchIR& branch : branches) {
+        own.push_back(
+            rewrite::AnalyzeBranch(branch.query, db.constraints(), &interner));
+        analyses.push_back(&own.back());
       }
     }
-    out.rewrite = stats;
+    rewrite::ApplyAnalyses(analyses, &branches, &out.rewrite);
+  }
+
+  out.subqueries.reserve(branches.size());
+  out.subquery_prefs.reserve(branches.size());
+  out.dois.reserve(branches.size());
+  for (rewrite::BranchIR& branch : branches) {
+    out.subqueries.push_back(std::move(branch.query));
+    out.subquery_prefs.push_back(std::move(branch.prefs));
+    out.dois.push_back(branch.doi);
+  }
+  return out;
+}
+
+StatusOr<rewrite::ViewAnalysis> AnalyzeViewBranches(
+    const storage::Database& db, const SelectQuery& query,
+    const std::vector<estimation::ScoredPreference>& prefs) {
+  CQP_ASSIGN_OR_RETURN(SelectQuery canonical,
+                       CanonicalizeSelectList(db, query));
+  const SelectQuery branch_base = BranchBase(std::move(canonical));
+  rewrite::ViewAnalysis out;
+  out.query_sql = query.ToSql();
+  out.branches.reserve(prefs.size());
+  rewrite::ShapeInterner interner;
+  for (size_t i = 0; i < prefs.size(); ++i) {
+    CQP_ASSIGN_OR_RETURN(
+        SelectQuery branch,
+        space::BuildPreferenceBranch(branch_base, prefs[i].pref,
+                                     static_cast<int>(i) + 1));
+    out.branches.push_back(
+        rewrite::AnalyzeBranch(branch, db.constraints(), &interner));
   }
   return out;
 }

@@ -9,6 +9,7 @@
 #include "estimation/evaluator.h"
 #include "prefs/preference.h"
 #include "rewrite/ir.h"
+#include "rewrite/passes.h"
 #include "sql/ast.h"
 #include "storage/database.h"
 
@@ -74,10 +75,29 @@ StatusOr<sql::SelectQuery> BuildSubQuery(const storage::Database& db,
 /// Builds the full personalized query for the chosen preference subset
 /// (P-indices into `prefs`). An empty subset yields a PersonalizedQuery
 /// with no sub-queries (the original query).
+///
+/// `analysis`, when given, is AnalyzeViewBranches(db, q, prefs) under the
+/// database's current constraints for some query q. The optimizer then
+/// takes each branch's analysis from it instead of analyzing the branch
+/// again — but only when `base` prints the same SQL as q (so conjunct
+/// indices line up), merge_compatible is off (the analyses are of
+/// single-preference branches) and no name in `base` is spelled like a
+/// fresh alias (p<N>_...). Otherwise the branches are analyzed here, with
+/// the same functions. The emission is printed from `base` either way and
+/// is byte-identical with or without `analysis`.
 StatusOr<PersonalizedQuery> BuildPersonalizedQuery(
     const storage::Database& db, const sql::SelectQuery& base,
     const std::vector<estimation::ScoredPreference>& prefs,
-    const IndexSet& chosen, const BuildOptions& options = BuildOptions());
+    const IndexSet& chosen, const BuildOptions& options = BuildOptions(),
+    const rewrite::ViewAnalysis* analysis = nullptr);
+
+/// The rewrite analyses of `query`'s single-preference branches, one per
+/// element of `prefs`, under db.constraints(): what
+/// BuildPersonalizedQuery reuses across requests (space::PreparedSpace
+/// memoizes it per prepared view).
+StatusOr<rewrite::ViewAnalysis> AnalyzeViewBranches(
+    const storage::Database& db, const sql::SelectQuery& query,
+    const std::vector<estimation::ScoredPreference>& prefs);
 
 /// Rewrites `base` so its select list is explicit (expanding SELECT *) and
 /// every column is qualified with its table alias. Sub-queries add tables,

@@ -74,4 +74,22 @@ PreparedSpace::BatchForProblem(const cqp::ProblemSpec& problem) const {
   return batch;
 }
 
+std::shared_ptr<const rewrite::ViewAnalysis> PreparedSpace::AnalysisForProblem(
+    const cqp::ProblemSpec& problem, uint64_t constraint_revision,
+    const AnalysisBuilder& build) const {
+  const std::string key =
+      ProblemPruneKey(problem) +
+      StrFormat(":r%llu", static_cast<unsigned long long>(constraint_revision));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = analyses_.find(key);
+    if (it != analyses_.end()) return it->second;
+  }
+  std::shared_ptr<const rewrite::ViewAnalysis> built =
+      build(*ForProblem(problem));
+  if (built == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  return analyses_.emplace(key, std::move(built)).first->second;
+}
+
 }  // namespace cqp::space

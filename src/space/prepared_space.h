@@ -1,12 +1,15 @@
 #ifndef CQP_SPACE_PREPARED_SPACE_H_
 #define CQP_SPACE_PREPARED_SPACE_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "cqp/problem.h"
+#include "rewrite/passes.h"
 #include "space/preference_space.h"
 
 namespace cqp::estimation {
@@ -62,6 +65,22 @@ class PreparedSpace {
   std::shared_ptr<const estimation::BatchEvaluator> BatchForProblem(
       const cqp::ProblemSpec& problem) const;
 
+  /// Builds the rewrite analyses of a view (construct::AnalyzeViewBranches);
+  /// returns nullptr when it cannot.
+  using AnalysisBuilder =
+      std::function<std::shared_ptr<const rewrite::ViewAnalysis>(
+          const PreferenceSpaceResult& view)>;
+
+  /// The rewrite analyses (docs/rewriting.md) of the `problem`-admitted
+  /// view's branches, memoized per ProblemPruneKey and constraint revision:
+  /// the query, each preference and the constraint set — everything an
+  /// analysis reads — are fixed by those. On a miss `build` runs on the
+  /// view outside the lock; when callers race, the first result stored
+  /// wins and every caller gets it. A null result is not stored.
+  std::shared_ptr<const rewrite::ViewAnalysis> AnalysisForProblem(
+      const cqp::ProblemSpec& problem, uint64_t constraint_revision,
+      const AnalysisBuilder& build) const;
+
  private:
   explicit PreparedSpace(PreferenceSpaceResult unpruned)
       : unpruned_(std::make_shared<const PreferenceSpaceResult>(
@@ -74,6 +93,8 @@ class PreparedSpace {
   mutable std::map<std::string,
                    std::shared_ptr<const estimation::BatchEvaluator>>
       batch_evals_;
+  mutable std::map<std::string, std::shared_ptr<const rewrite::ViewAnalysis>>
+      analyses_;
 };
 
 }  // namespace cqp::space

@@ -183,36 +183,22 @@ uint64_t QueryFingerprint(const UnionGroupQuery& q) {
   return Fnv1a(CanonicalQueryText(q));
 }
 
-std::vector<std::string> CanonicalWhereConjuncts(const SelectQuery& q) {
+CanonicalShape CanonicalShapeOf(const SelectQuery& q) {
   QualifierMap quals(q.from);
-  std::vector<std::string> out;
-  out.reserve(q.where.size());
-  for (const Predicate& p : q.where) {
-    out.push_back(CanonicalPredicate(p, quals));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> CanonicalFromRelations(const SelectQuery& q) {
-  QualifierMap quals(q.from);
-  std::vector<std::string> out;
-  out.reserve(q.from.size());
+  CanonicalShape shape;
+  shape.from.reserve(q.from.size());
   for (const TableRef& t : q.from) {
-    out.push_back(quals.Resolve(t.EffectiveAlias()));
+    shape.from.push_back(quals.Resolve(t.EffectiveAlias()));
   }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::string CanonicalSelectText(const SelectQuery& q) {
-  QualifierMap quals(q.from);
-  std::string out;
+  shape.where.reserve(q.where.size());
+  for (const Predicate& p : q.where) {
+    shape.where.push_back(CanonicalPredicate(p, quals));
+  }
   for (size_t i = 0; i < q.select_list.size(); ++i) {
-    if (i != 0) out += ",";
-    out += CanonicalRef(q.select_list[i], quals);
+    if (i != 0) shape.select += ",";
+    shape.select += CanonicalRef(q.select_list[i], quals);
   }
-  return out;
+  return shape;
 }
 
 }  // namespace cqp::sql

@@ -39,19 +39,19 @@ uint64_t QueryFingerprint(const SelectQuery& q);
 std::string CanonicalQueryText(const UnionGroupQuery& q);
 uint64_t QueryFingerprint(const UnionGroupQuery& q);
 
-/// Canonical texts of q's WHERE conjuncts — qualifiers resolved the same
-/// way CanonicalQueryText resolves them (an alias of a uniquely-occurring
-/// relation becomes the relation name) and =/<> join sides mirror-ordered —
-/// returned sorted. Two branches' conjunct sets compare with std::includes:
-/// the subset branch is the semantically weaker one (superset of rows),
-/// which is what the rewrite layer's subsumption pass consumes.
-std::vector<std::string> CanonicalWhereConjuncts(const SelectQuery& q);
-
-/// Canonical qualifiers of q's FROM entries, sorted.
-std::vector<std::string> CanonicalFromRelations(const SelectQuery& q);
-
-/// Canonical text of q's select list (alias-resolved, written order).
-std::string CanonicalSelectText(const SelectQuery& q);
+/// The canonical pieces of one SPJ query, all resolved through one
+/// qualifier map the way CanonicalQueryText resolves them (an alias of a
+/// uniquely-occurring relation becomes the relation name; =/<> join sides
+/// are mirror-ordered). The rewrite layer's subsumption pass compares two
+/// branches as sets over these: the branch whose FROM and WHERE sets are
+/// subsets of the other's is the semantically weaker one (superset of
+/// rows).
+struct CanonicalShape {
+  std::vector<std::string> from;   ///< one per FROM entry, written order
+  std::vector<std::string> where;  ///< one per WHERE conjunct, written order
+  std::string select;              ///< the select list, written order
+};
+CanonicalShape CanonicalShapeOf(const SelectQuery& q);
 
 }  // namespace cqp::sql
 

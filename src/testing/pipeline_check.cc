@@ -1,7 +1,5 @@
 #include "testing/pipeline_check.h"
 
-#include <cmath>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,12 +8,12 @@
 #include "common/str_util.h"
 #include "construct/personalizer.h"
 #include "estimation/eval_cache.h"
-#include "exec/executor.h"
 #include "prefs/graph.h"
 #include "server/client.h"
 #include "server/profile_store.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "testing/rewrite_check.h"
 #include "workload/movie_gen.h"
 #include "workload/profile_gen.h"
 #include "workload/query_gen.h"
@@ -413,68 +411,26 @@ PipelineCheckResult RunPipelineCheck(const PipelineCheckConfig& config) {
     }
   }
 
-  // Path 8: the semantic rewrite layer (docs/rewriting.md). Re-emitting the
-  // reference answer's OWN chosen solution with the optimizer off must
-  // execute to the identical personalized result set — the fixed solution
-  // isolates the emission-level passes from the (legitimately answer-
-  // changing) pre-search pruning. Dois are compared with an epsilon:
-  // subsumption merges regroup the noisy-or product, which can perturb the
-  // last floating-point bits.
+  // Path 8: the semantic rewrite layer (docs/rewriting.md), through the
+  // rewrite campaign's emission oracle. The reference answer's OWN chosen
+  // solution, re-emitted optimized and unoptimized — one branch per
+  // preference and with merge_compatible — must execute to the same
+  // result set; the fixed solution isolates the emission-level passes from
+  // the (legitimately answer-changing) pre-search pruning. The served
+  // emission, built from the prepared view's memoized analyses, must equal
+  // the memo-free one byte for byte.
   if (config.check_rewrite) {
     for (size_t i = 0; i < requests.size(); ++i) {
-      const construct::PersonalizeResult& want = reference[i];
-      construct::BuildOptions unopt_options;
-      unopt_options.optimize = false;
-      auto unopt = construct::BuildPersonalizedQuery(
-          *db, want.space->query, want.space->prefs,
-          want.solution.feasible ? want.solution.chosen : IndexSet(),
-          unopt_options);
-      if (!unopt.ok()) {
-        report.Add("rewrite-parity", request_labels[i],
-                   "unoptimized emission: " +
-                       std::string(unopt.status().message()));
-        continue;
-      }
-      exec::ExecStats stats;
-      auto rows_opt = personalizer.Execute(want, &stats);
-      construct::PersonalizeResult unopt_result = want;
-      unopt_result.personalized = *std::move(unopt);
-      auto rows_unopt = personalizer.Execute(unopt_result, &stats);
-      if (!rows_opt.ok() || !rows_unopt.ok()) {
-        report.Add("rewrite-parity", request_labels[i],
-                   "execution: " + (rows_opt.ok()
-                                        ? rows_unopt.status().ToString()
-                                        : rows_opt.status().ToString()));
-        continue;
-      }
-      auto keyed = [](const exec::PersonalizedResultSet& rows) {
-        std::map<std::string, double> out;
-        for (const exec::PersonalizedRow& row : rows.rows) {
-          out[row.row.ToString()] = row.doi;
-        }
-        return out;
-      };
-      std::map<std::string, double> opt_rows = keyed(*rows_opt);
-      std::map<std::string, double> unopt_rows = keyed(*rows_unopt);
-      if (opt_rows.size() != unopt_rows.size()) {
-        report.Add("rewrite-parity", request_labels[i],
-                   StrFormat("%zu rows optimized vs %zu unoptimized",
-                             opt_rows.size(), unopt_rows.size()));
-        continue;
-      }
-      auto a = opt_rows.begin();
-      auto b = unopt_rows.begin();
-      for (; a != opt_rows.end(); ++a, ++b) {
-        if (a->first != b->first) {
-          report.Add("rewrite-parity", request_labels[i],
-                     "row '" + a->first + "' vs '" + b->first + "'");
-          break;
-        }
-        if (std::fabs(a->second - b->second) > 1e-9) {
-          report.Add("rewrite-parity", request_labels[i],
-                     StrFormat("doi %.17g vs %.17g for row '%s'", a->second,
-                               b->second, a->first.c_str()));
-          break;
+      for (bool merge : {false, true}) {
+        construct::BuildOptions options = requests[i].build_options;
+        options.merge_compatible = merge;
+        std::string diff = DiffEmissions(
+            *db, personalizer, reference[i], options,
+            merge == requests[i].build_options.merge_compatible);
+        if (!diff.empty()) {
+          report.Add("rewrite-parity",
+                     merge ? request_labels[i] + "/merged" : request_labels[i],
+                     diff);
         }
       }
     }

@@ -23,10 +23,9 @@ struct PipelineCheckConfig {
                                  ///< vs direct Personalize()
   bool check_batch_eval = true;  ///< SoA/SIMD batch evaluation vs forced
                                  ///< scalar (disable_batch_eval) answers
-  bool check_rewrite = true;     ///< optimized vs unoptimized emission of the
-                                 ///< SAME chosen solution executes to the
-                                 ///< same personalized result set
-                                 ///< (docs/rewriting.md)
+  bool check_rewrite = true;     ///< DiffEmissions (rewrite_check.h) on
+                                 ///< every reference answer, unmerged and
+                                 ///< merged (docs/rewriting.md)
 };
 
 struct PipelineCheckResult {

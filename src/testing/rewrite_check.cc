@@ -1,5 +1,6 @@
 #include "testing/rewrite_check.h"
 
+#include <bit>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -57,12 +58,49 @@ std::string DiffRowMaps(const RowMap& opt, const RowMap& unopt) {
   return "";
 }
 
-/// "" when the chosen set of `r`, emitted under `options` once optimized
-/// and once unoptimized, executes to the same rows; else the difference.
+/// "" when two emissions of one chosen set are byte-identical.
+std::string DiffEmissionBytes(const construct::PersonalizedQuery& served,
+                              const construct::PersonalizedQuery& memo_free) {
+  if (served.ToSql() != memo_free.ToSql()) {
+    return "served SQL '" + served.ToSql() + "' vs memo-free '" +
+           memo_free.ToSql() + "'";
+  }
+  if (served.subquery_prefs != memo_free.subquery_prefs) {
+    return "served subquery_prefs differ from the memo-free emission's";
+  }
+  if (served.dois.size() != memo_free.dois.size()) {
+    return "served dois differ in count from the memo-free emission's";
+  }
+  for (size_t b = 0; b < served.dois.size(); ++b) {
+    if (std::bit_cast<uint64_t>(served.dois[b]) !=
+        std::bit_cast<uint64_t>(memo_free.dois[b])) {
+      return StrFormat("served doi %.17g vs memo-free %.17g in branch %zu",
+                       served.dois[b], memo_free.dois[b], b);
+    }
+  }
+  const rewrite::RewriteStats& a = served.rewrite;
+  const rewrite::RewriteStats& b = memo_free.rewrite;
+  if (a.conjuncts_dropped != b.conjuncts_dropped ||
+      a.branches_subsumed != b.branches_subsumed ||
+      a.prefs_pruned != b.prefs_pruned) {
+    return StrFormat(
+        "served rewrite counters %llu/%llu/%llu vs memo-free %llu/%llu/%llu",
+        static_cast<unsigned long long>(a.conjuncts_dropped),
+        static_cast<unsigned long long>(a.branches_subsumed),
+        static_cast<unsigned long long>(a.prefs_pruned),
+        static_cast<unsigned long long>(b.conjuncts_dropped),
+        static_cast<unsigned long long>(b.branches_subsumed),
+        static_cast<unsigned long long>(b.prefs_pruned));
+  }
+  return "";
+}
+
+}  // namespace
+
 std::string DiffEmissions(const storage::Database& db,
                           const construct::Personalizer& personalizer,
                           const construct::PersonalizeResult& r,
-                          construct::BuildOptions options) {
+                          construct::BuildOptions options, bool served) {
   const IndexSet chosen = r.solution.feasible ? r.solution.chosen : IndexSet();
   construct::PersonalizeResult opt;  // Execute reads only `personalized`
   construct::PersonalizeResult unopt;
@@ -76,6 +114,10 @@ std::string DiffEmissions(const storage::Database& db,
     return "emission: " + (built_opt.ok() ? built_unopt.status().ToString()
                                           : built_opt.status().ToString());
   }
+  if (served) {
+    std::string diff = DiffEmissionBytes(r.personalized, *built_opt);
+    if (!diff.empty()) return diff;
+  }
   opt.personalized = *std::move(built_opt);
   unopt.personalized = *std::move(built_unopt);
   exec::ExecStats stats;
@@ -87,6 +129,8 @@ std::string DiffEmissions(const storage::Database& db,
   }
   return DiffRowMaps(ToRowMap(*rows_opt), ToRowMap(*rows_unopt));
 }
+
+namespace {
 
 std::string DiffAnswers(const construct::PersonalizeResult& a,
                         const construct::PersonalizeResult& b) {
@@ -211,7 +255,9 @@ RewriteCheckResult RunRewriteCheck(const RewriteCheckConfig& config) {
         for (bool merge : {false, true}) {
           construct::BuildOptions options = request.build_options;
           options.merge_compatible = merge;
-          std::string diff = DiffEmissions(*db, personalizer, *r, options);
+          std::string diff =
+              DiffEmissions(*db, personalizer, *r, options,
+                            merge == request.build_options.merge_compatible);
           if (!diff.empty()) {
             report.Add("rewrite-equivalence",
                        merge ? label + "/merged" : label, diff);

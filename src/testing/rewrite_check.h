@@ -2,10 +2,30 @@
 #define CQP_TESTING_REWRITE_CHECK_H_
 
 #include <cstdint>
+#include <string>
 
+#include "construct/personalizer.h"
+#include "storage/database.h"
 #include "testing/oracle.h"
 
 namespace cqp::testing {
+
+/// The emission oracle of the rewrite layer (docs/rewriting.md). Returns ""
+/// when the chosen set of `r`, emitted under `options` once optimized and
+/// once unoptimized, executes to the same rows (dois within 1e-9 —
+/// noisy-or regrouping is the only permitted difference); else the first
+/// difference. Both emissions are memo-free: they analyze their own
+/// branches. `r` must answer a request whose parsed query is
+/// r.space->query (an uncached Personalize() does). When `served` is true,
+/// `r` was answered under `options` and
+/// its emission — which reuses the prepared view's memoized analyses when
+/// it may — must also equal the memo-free optimized one byte for byte:
+/// SQL, subquery_prefs, the bit patterns of the dois and the rewrite
+/// counters.
+std::string DiffEmissions(const storage::Database& db,
+                          const construct::Personalizer& personalizer,
+                          const construct::PersonalizeResult& r,
+                          construct::BuildOptions options, bool served);
 
 /// Configuration of the semantic-rewrite metamorphic sweep (docs/
 /// rewriting.md). One run builds a synthetic database, mines its integrity
@@ -16,11 +36,9 @@ struct RewriteCheckConfig {
   size_t n_queries = 5;
   size_t n_profiles = 2;
   size_t max_k = 10;
-  /// Metamorphic equivalence: for every request, emit the SAME chosen
-  /// solution optimized and unoptimized, both unmerged and with
-  /// merge_compatible, and require each pair's executed result sets to
-  /// match row for row (dois within 1e-9 — noisy-or regrouping is the only
-  /// permitted difference).
+  /// Metamorphic equivalence: for every request, DiffEmissions unmerged
+  /// and with merge_compatible (the served emission checked against the
+  /// memo-free one under the options it was served with).
   bool check_equivalence = true;
   /// Vacuity: no branch of the pipeline's emission is
   /// rewrite::ConjunctsUnsatisfiable (pruning is the only contradiction

@@ -196,6 +196,94 @@ TEST_F(QueryBuilderTest, MergedExecutionEqualsUnmerged) {
   EXPECT_EQ(plain.L(), 2u);
 }
 
+TEST_F(QueryBuilderTest, ViewAnalysesGiveTheMemoFreeEmission) {
+  // The base repeats a conjunct and the year preference repeats it again,
+  // so redundancy elimination drops conjuncts and the year branch is
+  // subsumed by the Allen branch: both apply steps run on the view's
+  // analyses, for every chosen subset.
+  auto base = *ParseSelect(
+      "SELECT title FROM MOVIE WHERE MOVIE.year >= 1970 AND "
+      "MOVIE.year >= 1970");
+  std::vector<estimation::ScoredPreference> prefs(3);
+  prefs[0].pref = AllenPref();
+  prefs[0].doi = 0.8;
+  prefs[1].pref = YearPref();
+  prefs[1].doi = 0.6;
+  prefs[2].pref = MusicalPref();
+  prefs[2].doi = 0.45;
+  auto analysis = AnalyzeViewBranches(db_, base, prefs);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  ASSERT_EQ(analysis->branches.size(), prefs.size());
+  uint64_t subsumed = 0;
+  for (int mask = 1; mask < 8; ++mask) {
+    std::vector<int32_t> members;
+    for (int32_t i = 0; i < 3; ++i) {
+      if ((mask >> i) & 1) members.push_back(i);
+    }
+    SCOPED_TRACE(mask);
+    const IndexSet chosen = IndexSet::FromUnsorted(members);
+    auto memo_free = *BuildPersonalizedQuery(db_, base, prefs, chosen);
+    auto reused = *BuildPersonalizedQuery(db_, base, prefs, chosen,
+                                          BuildOptions(), &*analysis);
+    EXPECT_EQ(reused.ToSql(), memo_free.ToSql());
+    EXPECT_EQ(reused.subquery_prefs, memo_free.subquery_prefs);
+    EXPECT_EQ(reused.dois, memo_free.dois);
+    EXPECT_EQ(reused.rewrite.conjuncts_dropped,
+              memo_free.rewrite.conjuncts_dropped);
+    EXPECT_EQ(reused.rewrite.branches_subsumed,
+              memo_free.rewrite.branches_subsumed);
+    EXPECT_GT(reused.rewrite.conjuncts_dropped, 0u);
+    subsumed += reused.rewrite.branches_subsumed;
+  }
+  EXPECT_GT(subsumed, 0u);
+}
+
+TEST_F(QueryBuilderTest, ViewAnalysesServeOnlyTheirOwnQueryUnmerged) {
+  // An analysis that drops each branch's first conjunct (the base's
+  // year >= 1960) shows whether the builder took it.
+  std::vector<estimation::ScoredPreference> prefs(1);
+  prefs[0].pref = AllenPref();
+  prefs[0].doi = 0.8;
+  auto poisoned = [&](const sql::SelectQuery& q) {
+    rewrite::ViewAnalysis analysis = *AnalyzeViewBranches(db_, q, prefs);
+    for (rewrite::BranchAnalysis& branch : analysis.branches) {
+      branch.dropped = {0};
+    }
+    return analysis;
+  };
+  auto emit = [&](const sql::SelectQuery& q, const BuildOptions& options,
+                  const rewrite::ViewAnalysis* analysis) {
+    return BuildPersonalizedQuery(db_, q, prefs, IndexSet{0}, options,
+                                  analysis)
+        ->ToSql();
+  };
+  BuildOptions unmerged;
+  BuildOptions merged;
+  merged.merge_compatible = true;
+
+  auto base = *ParseSelect("SELECT title FROM MOVIE WHERE MOVIE.year >= 1960");
+  const rewrite::ViewAnalysis own = poisoned(base);
+  // The query it was built from takes it.
+  EXPECT_EQ(emit(base, unmerged, &own).find("year >= 1960"),
+            std::string::npos);
+  // Another spelling of the same plan does not: its conjunct indices need
+  // not line up.
+  auto respelled =
+      *ParseSelect("SELECT MOVIE.title FROM MOVIE WHERE year >= 1960");
+  EXPECT_EQ(emit(respelled, unmerged, &own),
+            emit(respelled, unmerged, nullptr));
+  // A merged emission does not: the analyses are of one-preference
+  // branches.
+  EXPECT_EQ(emit(base, merged, &own), emit(base, merged, nullptr));
+  // Nor does a query whose names could equal a fresh alias, even with the
+  // analysis built from it.
+  auto fresh = *ParseSelect(
+      "SELECT p1_movie.title FROM MOVIE p1_movie WHERE p1_movie.year >= 1960");
+  const rewrite::ViewAnalysis fresh_own = poisoned(fresh);
+  EXPECT_EQ(emit(fresh, unmerged, &fresh_own),
+            emit(fresh, unmerged, nullptr));
+}
+
 TEST_F(QueryBuilderTest, PersonalizedSqlRoundTripsThroughTheEngine) {
   // The printed SQL must parse back and execute to exactly the same rows
   // as the structured personalized execution.

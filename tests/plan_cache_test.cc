@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "construct/personalizer.h"
@@ -320,26 +323,65 @@ TEST_F(PreparedPipelineTest, PersonalizeHitsThePlanCacheAcrossSpellings) {
   PlanCache cache;
 
   PersonalizeRequest request;
-  request.sql = "SELECT title FROM MOVIE WHERE year > 1970";
   request.problem = cqp::ProblemSpec::Problem2(1e9);
   request.plan_cache = &cache;
   request.profile_id = "u";
   request.profile_version = 1;
 
-  auto cold = personalizer.Personalize(request);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_FALSE(cold->plan_cache_hit);
+  // The reference for a text: the same request with no plan cache, so
+  // nothing a cached plan carries — the rewrite analyses memoized on it
+  // included — can reach the answer.
+  auto uncached_sql = [&](const std::string& sql) {
+    PersonalizeRequest fresh = request;
+    fresh.sql = sql;
+    fresh.plan_cache = nullptr;
+    auto r = personalizer.Personalize(fresh);
+    CQP_CHECK(r.ok()) << r.status().ToString();
+    return r->final_sql;
+  };
 
-  // A different spelling of the same query still hits. The rendered SQL
-  // keeps the caller's own spelling (construction works on the request's
-  // parsed query); the ANSWER — chosen set and parameters — is shared.
-  request.sql = "select  TITLE from movie where YEAR>1970.0";
-  auto warm = personalizer.Personalize(request);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_TRUE(warm->plan_cache_hit);
-  EXPECT_EQ(warm->solution.chosen, cold->solution.chosen);
-  EXPECT_EQ(warm->solution.params.doi, cold->solution.params.doi);
-  EXPECT_EQ(warm->solution.params.cost_ms, cold->solution.params.cost_ms);
+  // Pairs of spellings the plan-cache key folds together: whitespace, case
+  // and literal type; conjunct order around a duplicate conjunct (the
+  // second text keeps different conjunct positions); an alias. Each warm
+  // answer keeps the caller's own spelling — construction works on the
+  // request's parsed query — while the ANSWER (chosen set and parameters)
+  // is shared.
+  struct Pair {
+    std::string first;
+    std::string second;
+    std::string second_prints;
+  };
+  const std::vector<Pair> pairs = {
+      {"SELECT title FROM MOVIE WHERE year > 1970",
+       "select  TITLE from movie where YEAR>1970.0", "YEAR > 1970"},
+      {"SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year >= 1950 AND "
+       "MOVIE.duration <= 150 AND MOVIE.year >= 1950",
+       "SELECT MOVIE.title FROM MOVIE WHERE MOVIE.duration <= 150 AND "
+       "MOVIE.year >= 1950 AND MOVIE.year >= 1950",
+       "MOVIE.duration <= 150"},
+      {"SELECT MOVIE.title FROM MOVIE WHERE MOVIE.year >= 1950",
+       "SELECT m.title FROM MOVIE m WHERE m.year >= 1950", "m.year >= 1950"},
+  };
+  for (const Pair& pair : pairs) {
+    SCOPED_TRACE(pair.second);
+    request.sql = pair.first;
+    auto cold = personalizer.Personalize(request);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_FALSE(cold->plan_cache_hit);
+    EXPECT_EQ(cold->final_sql, uncached_sql(pair.first));
+
+    request.sql = pair.second;
+    auto warm = personalizer.Personalize(request);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_TRUE(warm->plan_cache_hit);
+    EXPECT_EQ(warm->solution.chosen, cold->solution.chosen);
+    EXPECT_EQ(warm->solution.params.doi, cold->solution.params.doi);
+    EXPECT_EQ(warm->solution.params.cost_ms, cold->solution.params.cost_ms);
+    ASSERT_FALSE(warm->solution.chosen.empty());
+    EXPECT_EQ(warm->final_sql, uncached_sql(pair.second));
+    EXPECT_NE(warm->final_sql.find(pair.second_prints), std::string::npos)
+        << warm->final_sql;
+  }
 
   // A profile-version bump makes every cached plan unreachable.
   request.profile_version = 2;
@@ -348,9 +390,53 @@ TEST_F(PreparedPipelineTest, PersonalizeHitsThePlanCacheAcrossSpellings) {
   EXPECT_FALSE(reloaded->plan_cache_hit);
 
   PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.entries, 4u);
+}
+
+TEST_F(PreparedPipelineTest, ConcurrentSolvesFillOneAnalysisMemo) {
+  Personalizer personalizer(&db_, graph_.get());
+  PersonalizeRequest request;
+  request.sql =
+      "SELECT title FROM MOVIE WHERE year >= 1950 AND year >= 1950";
+  request.problem = cqp::ProblemSpec::Problem2(1e9);
+  request.algorithm = "auto";
+  auto serial = personalizer.Personalize(request);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_FALSE(serial->solution.chosen.empty());
+  ASSERT_GT(serial->personalized.rewrite.conjuncts_dropped, 0u);
+
+  // A fresh PreparedQuery: the first Solve to get there fills the memo
+  // while the others race it.
+  auto prepared = personalizer.Prepare(request);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  constexpr int kThreads = 8;
+  std::vector<std::optional<StatusOr<PersonalizeResult>>> results(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[t].emplace(personalizer.Solve(*prepared, request));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
+    ASSERT_TRUE(results[t]->ok()) << results[t]->status().ToString();
+    const PersonalizeResult& r = **results[t];
+    EXPECT_EQ(r.final_sql, serial->final_sql);
+    EXPECT_EQ(r.solution.chosen, serial->solution.chosen);
+    EXPECT_EQ(r.personalized.subquery_prefs,
+              serial->personalized.subquery_prefs);
+    EXPECT_EQ(r.personalized.dois, serial->personalized.dois);
+    EXPECT_EQ(r.personalized.rewrite.conjuncts_dropped,
+              serial->personalized.rewrite.conjuncts_dropped);
+    EXPECT_EQ(r.personalized.rewrite.branches_subsumed,
+              serial->personalized.rewrite.branches_subsumed);
+  }
 }
 
 TEST_F(PreparedPipelineTest, BatchCountsPlanCacheHits) {

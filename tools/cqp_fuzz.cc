@@ -5,7 +5,8 @@
 //   cqp_fuzz --duration 600           run for N seconds instead
 //   cqp_fuzz --replay a.cqprepro ...  re-check reproducer files
 //   cqp_fuzz --minimize a.cqprepro    shrink a failing reproducer further
-//   cqp_fuzz --pipeline               end-to-end path-parity sweep
+//   cqp_fuzz --pipeline               end-to-end path-parity sweep;
+//                                     --count scales the seeds swept
 //   cqp_fuzz --batch-eval             only the SoA/SIMD batch-parity checks
 //   cqp_fuzz --rewrite                semantic-rewrite metamorphic campaign
 //                                     (optimized vs unoptimized equality,
@@ -257,18 +258,44 @@ int RunMinimize(const Args& args) {
   return 0;
 }
 
+/// The --pipeline sweep: RunPipelineCheck over consecutive seeds from
+/// --seed (each a fresh database, profiles and workload), sized like the
+/// --rewrite campaign so --count roughly equals the number of requests
+/// compared.
 int RunPipeline(const Args& args) {
   cqp::testing::PipelineCheckConfig config;
-  config.seed = args.seed;
-  cqp::testing::PipelineCheckResult result =
-      cqp::testing::RunPipelineCheck(config);
-  std::printf("pipeline parity: %zu requests compared, %zu violations\n",
-              result.requests, result.report.violations.size());
-  if (!result.report.ok()) {
-    std::fprintf(stderr, "%s", result.report.ToString().c_str());
-    return 1;
+  uint64_t per_seed =
+      static_cast<uint64_t>(config.n_profiles * config.n_queries);
+  uint64_t seeds = (args.count + per_seed - 1) / per_seed;
+  if (seeds == 0) seeds = 1;
+  size_t requests = 0;
+  int failures = 0;
+  for (uint64_t s = 0; s < seeds; ++s) {
+    config.seed = args.seed + s;
+    cqp::testing::PipelineCheckResult result =
+        cqp::testing::RunPipelineCheck(config);
+    requests += result.requests;
+    if (!result.report.ok()) {
+      std::fprintf(stderr, "FAIL seed=%llu\n%s",
+                   static_cast<unsigned long long>(config.seed),
+                   result.report.ToString().c_str());
+      ++failures;
+      if (failures >= 20) {
+        std::fprintf(stderr, "too many failures; stopping early\n");
+        break;
+      }
+    }
+    if (args.verbose || (s + 1) % 50 == 0) {
+      std::printf("... %llu/%llu seeds, %zu requests, %d failing\n",
+                  static_cast<unsigned long long>(s + 1),
+                  static_cast<unsigned long long>(seeds), requests, failures);
+      std::fflush(stdout);
+    }
   }
-  return 0;
+  std::printf(
+      "pipeline parity: %llu seeds, %zu requests compared, %d failing\n",
+      static_cast<unsigned long long>(seeds), requests, failures);
+  return failures;
 }
 
 /// The --rewrite campaign: RunRewriteCheck over `count` consecutive seeds
@@ -392,7 +419,7 @@ int main(int argc, char** argv) {
   } else if (!args.minimize.empty()) {
     return RunMinimize(args);
   } else if (args.pipeline) {
-    return RunPipeline(args);
+    failures = RunPipeline(args);
   } else if (args.rewrite) {
     failures = RunRewrite(args);
   } else {

@@ -24,13 +24,13 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "server/profile_store.h"
+#include "server/serve_flags.h"
 #include "server/server.h"
 #include "workload/movie_gen.h"
 #include "workload/profile_gen.h"
@@ -63,28 +63,6 @@ bool InstallSignalHandlers() {
          ::sigaction(SIGINT, &action, nullptr) == 0;
 }
 
-struct Flags {
-  int port = 7433;
-  int64_t movies = 5000;
-  bool tourist = false;
-  std::string profiles_dir;
-  size_t threads = 0;
-  size_t io_threads = 0;  ///< epoll event loops; 0 = auto
-  size_t write_queue_kb = 0;  ///< 0 = server default watermark
-  size_t max_pending = 256;
-  size_t soft_pending = 0;
-  double degraded_deadline_ms = 25.0;
-  double stats_interval_s = 0.0;
-  double cmax_ms = 400.0;
-  size_t max_k = 20;
-  std::string algorithm = "auto";
-  std::string data_dir;  ///< durable mode when non-empty
-  double compact_mb = 4.0;
-  double drain_deadline_ms = 1000.0;
-  size_t shards = 0;  ///< 0 = the MANIFEST's count, or 16 when fresh
-  double resident_mb = 256.0;  ///< total resident-graph budget (durable)
-};
-
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--movies N | --tourist]\n"
@@ -100,70 +78,13 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseFlags(int argc, char** argv, Flags* flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      char* end = nullptr;
-      *out = std::strtod(argv[++i], &end);
-      return end != argv[i] && *end == '\0';
-    };
-    double value = 0.0;
-    if (arg == "--tourist") {
-      flags->tourist = true;
-    } else if (arg == "--profiles" && i + 1 < argc) {
-      flags->profiles_dir = argv[++i];
-    } else if (arg == "--algorithm" && i + 1 < argc) {
-      flags->algorithm = argv[++i];
-    } else if (arg == "--port" && next(&value)) {
-      flags->port = static_cast<int>(value);
-    } else if (arg == "--movies" && next(&value)) {
-      flags->movies = static_cast<int64_t>(value);
-    } else if (arg == "--threads" && next(&value)) {
-      flags->threads = static_cast<size_t>(value);
-    } else if (arg == "--io-threads" && next(&value)) {
-      flags->io_threads = static_cast<size_t>(value);
-    } else if (arg == "--write-queue-kb" && next(&value)) {
-      flags->write_queue_kb = static_cast<size_t>(value);
-    } else if (arg == "--max-pending" && next(&value)) {
-      flags->max_pending = static_cast<size_t>(value);
-    } else if (arg == "--soft-pending" && next(&value)) {
-      flags->soft_pending = static_cast<size_t>(value);
-    } else if (arg == "--degraded-deadline-ms" && next(&value)) {
-      flags->degraded_deadline_ms = value;
-    } else if (arg == "--stats-interval" && next(&value)) {
-      flags->stats_interval_s = value;
-    } else if (arg == "--cmax" && next(&value)) {
-      flags->cmax_ms = value;
-    } else if (arg == "--k" && next(&value)) {
-      // Server::Start rejects a K outside [1, 63]; a value the cast cannot
-      // represent (negative, huge, NaN) becomes 0 so that check reports it.
-      flags->max_k = value >= 0 && value < 1e9 ? static_cast<size_t>(value) : 0;
-    } else if (arg == "--data-dir" && i + 1 < argc) {
-      flags->data_dir = argv[++i];
-    } else if (arg == "--compact-mb" && next(&value)) {
-      flags->compact_mb = value;
-    } else if (arg == "--drain-deadline-ms" && next(&value)) {
-      flags->drain_deadline_ms = value;
-    } else if (arg == "--shards" && next(&value)) {
-      flags->shards = static_cast<size_t>(value);
-    } else if (arg == "--resident-mb" && next(&value)) {
-      flags->resident_mb = value;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace cqp;  // NOLINT
 
-  Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) return Usage(argv[0]);
+  server::ServeFlags flags;
+  if (!server::ParseServeFlags(argc, argv, &flags)) return Usage(argv[0]);
 
   // 1. The database.
   storage::Database db;
